@@ -7,9 +7,9 @@ import (
 )
 
 // saveArena is the reusable scratch memory of one Algorithm 1 search. Every
-// slice the hot path needs — the compact candidate tables, one candidate
-// slab per recursion depth, the quickselect scratch, the κ-prefilter top-k
-// buffer and the visited-X memo — lives here and is recycled across nodes
+// slice the hot path needs — the compact candidate tables, the κ group
+// query buffers, one candidate slab per recursion depth, the quickselect
+// scratch, the κ-prefilter top-k buffer and the visited-X memo — lives here and is recycled across nodes
 // and across outliers, so the steady-state recursion allocates nothing.
 //
 // Ownership is strictly single-threaded: SaveAll hands each worker its own
@@ -46,6 +46,16 @@ type saveArena struct {
 	nc       neighbors.Counters
 	cidx     neighbors.Index
 	cidxBase neighbors.Index
+
+	// κ-restricted saves: gviews are counting views (on nc) of the
+	// attribute-group indexes of groupsOf, built once per (arena, saver)
+	// pair; nbuf holds the range-query results, and stamp/epoch
+	// de-duplicate the union without a map.
+	groupsOf *Saver
+	gviews   []neighbors.Index
+	nbuf     []neighbors.Neighbor
+	stamp    []uint32
+	epoch    uint32
 }
 
 // reset prepares the arena for one save over a schema of m attributes.

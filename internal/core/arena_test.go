@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,10 @@ import (
 // search expands enough nodes that per-node allocations would dominate the
 // measurement: with memoization the unrestricted recursion can visit up to
 // 2^m masks, so m = 10 admits ~1k nodes.
-func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) {
+func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) { return arenaWorkloadKappa(tb, 0) }
+
+// arenaWorkloadKappa is arenaWorkload with Options.Kappa = kappa.
+func arenaWorkloadKappa(tb testing.TB, kappa int) (*Saver, data.Tuple) {
 	tb.Helper()
 	names := make([]string, 10)
 	for i := range names {
@@ -31,7 +35,7 @@ func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) {
 	cons := Constraints{Eps: 4.0, Eta: 4}
 	// Pruning off keeps the search wide, which is exactly what the
 	// per-node allocation guard needs to be sensitive.
-	s, err := NewSaver(r, cons, Options{DisablePruning: true})
+	s, err := NewSaver(r, cons, Options{DisablePruning: true, Kappa: kappa})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,29 +52,47 @@ func arenaWorkload(tb testing.TB) (*Saver, data.Tuple) {
 // per-save allocations that escape by design (the Within ball of the
 // truncation pass, the k-NN lists of the Lemma 4 bound, the composed
 // adjustment tuple). Per recursion node the steady state allocates zero.
+// The κ=2 case draws its candidates from the attribute-group union, so it
+// also proves the group query buffers and de-duplication stamps are arena
+// scratch; with m = 10 its search has at most C(10,2)+10+1 = 56 masks, and
+// an outlier close to the data on every attribute expands most of them.
 func TestSaveSteadyStateAllocs(t *testing.T) {
-	s, to := arenaWorkload(t)
-	ar := new(saveArena)
-	ctx := context.Background()
-	adj := s.save(ctx, to, ar) // warm the slabs
-	if adj.Nodes < 100 {
-		t.Fatalf("workload expanded only %d nodes; too small to expose per-node allocations", adj.Nodes)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		s.save(ctx, to, ar)
-	})
-	// The per-save fixed costs are a handful of allocations; per node the
-	// budget is zero, so the total must not scale with Nodes. The race
-	// detector's sync.Pool drops ~25% of released kernel queries, so each
-	// save re-allocates a few of its handful of query binds; the wider
-	// budget still fails on anything that scales with Nodes.
-	budget := 16.0
-	if raceDetector {
-		budget = 64
-	}
-	if allocs > budget {
-		t.Errorf("steady-state save allocates %.1f times (budget %.0f) over %d nodes; want a small node-independent constant",
-			allocs, budget, adj.Nodes)
+	for _, tc := range []struct {
+		name            string
+		kappa, minNodes int
+	}{
+		{"unrestricted", 0, 100},
+		{"kappa=2", 2, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, to := arenaWorkloadKappa(t, tc.kappa)
+			if tc.kappa > 0 {
+				to[2] = data.Num(0)
+			}
+			ar := new(saveArena)
+			ctx := context.Background()
+			adj := s.save(ctx, to, ar) // warm the slabs
+			if adj.Nodes < tc.minNodes {
+				t.Fatalf("workload expanded only %d nodes; too small to expose per-node allocations", adj.Nodes)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				s.save(ctx, to, ar)
+			})
+			// The per-save fixed costs are a handful of allocations; per
+			// node the budget is zero, so the total must not scale with
+			// Nodes. The race detector's sync.Pool drops ~25% of released
+			// kernel queries, so each save re-allocates a few of its
+			// handful of query binds; the wider budget still fails on
+			// anything that scales with Nodes.
+			budget := 16.0
+			if raceDetector {
+				budget = 64
+			}
+			if allocs > budget {
+				t.Errorf("steady-state save allocates %.1f times (budget %.0f) over %d nodes; want a small node-independent constant",
+					allocs, budget, adj.Nodes)
+			}
+		})
 	}
 }
 
@@ -116,8 +138,15 @@ func (a Adjustment) bestEqual(b Adjustment) bool {
 // TestSaveAllWorkerArenaEquivalence runs the same batch sequentially and
 // with parallel per-worker arenas and requires identical adjustments —
 // any cross-worker arena sharing or stale slab reuse would desynchronize
-// the two runs.
+// the two runs. κ=2 repeats it on the attribute-group path, whose block
+// indexes all workers query at once.
 func TestSaveAllWorkerArenaEquivalence(t *testing.T) {
+	for _, kappa := range []int{0, 2} {
+		t.Run(fmt.Sprintf("kappa=%d", kappa), func(t *testing.T) { testWorkerArenaEquivalence(t, kappa) })
+	}
+}
+
+func testWorkerArenaEquivalence(t *testing.T, kappa int) {
 	r := data.NewRelation(data.NewNumericSchema("x", "y", "z"))
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 300; i++ {
@@ -132,14 +161,14 @@ func TestSaveAllWorkerArenaEquivalence(t *testing.T) {
 		r.Append(t3)
 	}
 	cons := Constraints{Eps: 1.0, Eta: 4}
-	seq, err := SaveAll(r, cons, Options{Workers: 1})
+	seq, err := SaveAll(r, cons, Options{Workers: 1, Kappa: kappa})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Detection.Outliers) < 4 {
 		t.Fatalf("want several outliers, got %d", len(seq.Detection.Outliers))
 	}
-	par4, err := SaveAll(r, cons, Options{Workers: 4})
+	par4, err := SaveAll(r, cons, Options{Workers: 4, Kappa: kappa})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -13,7 +14,10 @@ import (
 // settings, and budgets. Whatever the input, Save must not panic, and every
 // answer must be classifiable: a feasible adjustment (Proposition 5 — each
 // intermediate answer is a real repair), a Natural flag from a search that
-// ran to completion, or a best-so-far answer flagged Exhausted.
+// ran to completion, or a best-so-far answer flagged Exhausted. Without a
+// node budget, a κ-restricted save must also match the all-rows oracle
+// exactly, so random ε and κ probe the attribute-group union's boundary
+// slack.
 func FuzzSave(f *testing.F) {
 	f.Add(int64(1), uint8(20), 1.0, uint8(3), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(8), 0.4, uint8(2), uint8(1), uint8(3))
@@ -50,6 +54,13 @@ func FuzzSave(f *testing.F) {
 			outlier[a] = data.Num(rng.Float64()*6 - 1)
 		}
 		adj := s.Save(outlier)
+		if opts.MaxNodes == 0 && s.kappaRestricted() {
+			ref := saveAllRows(s, outlier)
+			if adj.Natural != ref.Natural || math.Float64bits(adj.Cost) != math.Float64bits(ref.Cost) || !slices.Equal(adj.Tuple, ref.Tuple) {
+				t.Fatalf("κ=%d eps=%v: Save gives (%v, %v, natural=%v), the all-rows oracle (%v, %v, natural=%v)",
+					opts.Kappa, eps, adj.Tuple, adj.Cost, adj.Natural, ref.Tuple, ref.Cost, ref.Natural)
+			}
+		}
 		switch {
 		case adj.Saved():
 			if len(adj.Tuple) != m {

@@ -21,7 +21,9 @@ type Options struct {
 	// Kappa bounds the number of adjusted attributes: the recursion only
 	// considers unadjusted sets X with |X| ≥ m−κ, the O(m^{κ+1}·n)
 	// variant of §3.3. κ ≤ 0 means unrestricted (start from X = ∅, which
-	// admits the Lemma 4 nearest-inlier fallback).
+	// admits the Lemma 4 nearest-inlier fallback). A restricted saver
+	// indexes κ+1 attribute blocks at construction and draws each save's
+	// candidates from them (docs/ALGORITHM.md §5).
 	Kappa int
 	// DisablePruning turns off the Proposition 3 lower-bound pruning
 	// (ablation only).
@@ -91,13 +93,13 @@ type Saver struct {
 	// SaveAll bypasses it with explicit per-worker arenas.
 	arenas sync.Pool
 	// setupStats and setup time the one-off construction work (index
-	// build, η-radius precompute) so SaveAll can report pipeline phases;
+	// builds, η-radius precompute) so SaveAll can report pipeline phases;
 	// setupStats holds the index traffic of the precompute pass.
 	setupStats obs.SearchStats
 	setup      struct{ indexBuild, etaRadius time.Duration }
-	// builtIndex marks that the saver built idx itself (as opposed to
-	// Options.Index), so the IndexBuild timing is meaningful.
-	builtIndex bool
+	// groups are the κ+1 attribute-group indexes a κ-restricted saver
+	// draws its candidates from (nil when 0 < κ < m does not hold).
+	groups []attrGroup
 	// mut is idx's mutable wrapper when the saver was built over one
 	// (Options.Index of type *neighbors.Mutable). It unlocks the
 	// incremental inlier-set maintenance surface: InsertInlier,
@@ -131,27 +133,23 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	}
 	log := obs.Logger(opts.Logger)
 	idx := opts.Index
-	built := false
 	var indexBuild time.Duration
 	if idx == nil {
 		start := time.Now()
 		idx = neighbors.Build(r, cons.Eps)
 		indexBuild = time.Since(start)
-		built = true
 		log.Debug("disc: inlier index built", "index", fmt.Sprintf("%T", idx),
 			"tuples", r.N(), "duration", indexBuild)
 	}
 	s := &Saver{
-		rel:        r,
-		cons:       cons,
-		opts:       opts,
-		idx:        idx,
-		etaRadius:  make([]float64, r.N()),
-		m:          r.Schema.M(),
-		sqNorm:     r.Schema.Norm == metric.L2,
-		builtIndex: built,
+		rel:       r,
+		cons:      cons,
+		opts:      opts,
+		idx:       idx,
+		etaRadius: make([]float64, r.N()),
+		m:         r.Schema.M(),
+		sqNorm:    r.Schema.Norm == metric.L2,
 	}
-	s.setup.indexBuild = indexBuild
 	if m, ok := idx.(*neighbors.Mutable); ok {
 		s.mut = m
 	}
@@ -161,6 +159,19 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 		// candidate tables (its text cache is simply not shared).
 		s.kern = data.CompileKernel(r)
 	}
+	if s.kappaRestricted() {
+		start := time.Now()
+		groups, err := buildGroups(r, s.kern, cons.Eps, opts.Kappa, s.mut != nil)
+		if err != nil {
+			return nil, err
+		}
+		s.groups = groups
+		d := time.Since(start)
+		indexBuild += d
+		log.Debug("disc: κ attribute-group indexes built", "groups", len(groups),
+			"tuples", r.N(), "duration", d)
+	}
+	s.setup.indexBuild = indexBuild
 	s.arenas.New = func() any { return new(saveArena) }
 	workers := opts.Workers
 	if workers <= 0 {
@@ -225,8 +236,9 @@ func (s *Saver) Rel() *data.Relation { return s.rel }
 func (s *Saver) Index() neighbors.Index { return s.idx }
 
 // SetupStats returns the index traffic of the saver's construction (the
-// η-radius precompute) and the one-off phase durations: index build (zero
-// when Options.Index was supplied) and precompute.
+// η-radius precompute) and the one-off phase durations: index builds (the
+// inlier index unless Options.Index was supplied, plus the κ
+// attribute-group indexes of a κ-restricted saver) and precompute.
 func (s *Saver) SetupStats() (stats obs.SearchStats, indexBuild, etaRadius time.Duration) {
 	return s.setupStats, s.setup.indexBuild, s.setup.etaRadius
 }
@@ -291,9 +303,50 @@ func (s *Saver) SaveOne(ctx context.Context, to data.Tuple) Adjustment {
 	return s.SaveContext(ctx, to)
 }
 
+// kappaRestricted reports whether Options.Kappa restricts the search
+// (0 < κ < m); otherwise every X down to ∅ is admissible.
+func (s *Saver) kappaRestricted() bool { return s.opts.Kappa > 0 && s.opts.Kappa < s.m }
+
 // save runs one Algorithm 1 search with its scratch memory drawn from ar.
 // The arena must not be shared with a concurrent save.
 func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustment {
+	st := s.begin(ctx, ar)
+	if s.kappaRestricted() {
+		// Under the κ restriction the nearest inlier is not an admissible
+		// answer (it adjusts every attribute), so there is no Lemma 4 seed
+		// to truncate by. The pigeonhole union takes its place: a donor
+		// within ε on some m−κ attributes is within ε on a whole group.
+		st.ids = s.pigeonholeCandidates(ar, to)
+		return s.search(st, to)
+	}
+	// Initialization (§3.3.2, Lemma 4): the nearest inlier satisfying the
+	// constraints is itself a feasible adjustment, adjusting all
+	// attributes (X = ∅ upper bound). It also bounds which inliers can
+	// ever improve the solution: a candidate of any node must be within ε
+	// on X, so a donor with Δ(t_o, t) > ε + bestCost can never yield a
+	// cheaper composite.
+	if nn, cost := s.initialBound(ar.cidx, to); nn >= 0 {
+		st.bestT2 = nn
+		st.bestX = 0
+		st.bestCost = cost
+		ball := ar.cidx.Within(to, s.cons.Eps+cost, -1)
+		st.ids = grow(ar.ids, len(ball))
+		for c, nb := range ball {
+			st.ids[c] = nb.Idx
+		}
+		ar.ids = st.ids
+	} else {
+		// All-rows fallback, unrestricted saves only: with no feasible
+		// whole-tuple substitution nothing truncates the candidates, so
+		// every live inlier is one.
+		st.ids = s.allRows(ar)
+	}
+	return s.search(st, to)
+}
+
+// begin resets ar for one save and returns its working set with no
+// candidates and no solution yet.
+func (s *Saver) begin(ctx context.Context, ar *saveArena) *saveState {
 	ar.reset(s.m)
 	// The counting view of the index is cached on the arena (one per
 	// worker), so instrumentation adds no steady-state allocations; its
@@ -302,7 +355,6 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 		ar.cidxBase = s.idx
 		ar.cidx = neighbors.Counting(s.idx, &ar.nc)
 	}
-	cidx := ar.cidx
 	st := &ar.st
 	*st = saveState{
 		ar:       ar,
@@ -312,55 +364,63 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 		bud:      makeBudget(ctx, s.opts),
 		stats:    &ar.stats,
 	}
-	sch := s.rel.Schema
+	return st
+}
 
-	kappaRestricted := s.opts.Kappa > 0 && s.opts.Kappa < s.m
-
-	// Initialization (§3.3.2, Lemma 4): the nearest inlier satisfying the
-	// constraints is itself a feasible adjustment, adjusting all
-	// attributes (X = ∅ upper bound). It also bounds which inliers can
-	// ever improve the solution: a candidate of any node must be within ε
-	// on X, so a donor with Δ(t_o, t) > ε + bestCost can never yield a
-	// cheaper composite. Under the κ restriction the nearest inlier is
-	// not an admissible answer (it adjusts every attribute), so both the
-	// initialization and the truncation are skipped.
-	if !kappaRestricted {
-		if nn, cost := s.initialBound(cidx, to); nn >= 0 {
-			st.bestT2 = nn
-			st.bestX = 0
-			st.bestCost = cost
+// allRows lists every live row of r, ascending, in ar.ids. Tombstoned
+// rows of a mutable inlier set are invisible to the index but still
+// occupy physical slots, so they are skipped here too.
+func (s *Saver) allRows(ar *saveArena) []int {
+	ids := grow(ar.ids, s.rel.N())[:0]
+	for i, n := 0, s.rel.N(); i < n; i++ {
+		if s.mut != nil && !s.mut.Alive(i) {
+			continue
 		}
+		ids = append(ids, i)
 	}
+	ar.ids = ids
+	return ids
+}
 
-	// Materialize the compact candidate tables in the arena.
-	if math.IsInf(st.bestCost, 1) {
-		st.ids = grow(ar.ids, s.rel.N())[:0]
-		for i, n := 0, s.rel.N(); i < n; i++ {
-			// Tombstoned rows of a mutable inlier set are invisible to the
-			// index but still occupy physical slots; the all-rows fallback
-			// must skip them too.
-			if s.mut != nil && !s.mut.Alive(i) {
-				continue
-			}
-			st.ids = append(st.ids, i)
-		}
-	} else {
-		ball := cidx.Within(to, s.cons.Eps+st.bestCost, -1)
-		st.ids = grow(ar.ids, len(ball))
-		for c, nb := range ball {
-			st.ids[c] = nb.Idx
-		}
-	}
+// search fills the compact candidate tables for st.ids, runs the
+// recursion (from every |X| = m−κ under the κ restriction, from X = ∅
+// otherwise) and seals the answer.
+func (s *Saver) search(st *saveState, to data.Tuple) Adjustment {
+	ar := st.ar
 	st.stats.Candidates = int64(len(st.ids))
-	ar.ids = st.ids
+	c := len(st.ids)
+	s.fillTables(st, to)
+
+	// Root candidate set: X = ∅ admits every candidate. The root
+	// lists live in the depth-0 slabs; recurse builds each child's list in
+	// the slab one depth down.
+	cand := ar.intsAt(0, c)[:c]
+	subD := ar.floatsAt(0, c)[:c] // d_X aggregate per candidate (squared under L2)
+	for ci := range cand {
+		cand[ci] = ci
+		subD[ci] = 0
+	}
+
+	if s.kappaRestricted() {
+		s.forEachStartMask(st, cand, subD)
+	} else {
+		s.recurse(st, 0, cand, subD)
+	}
+	return s.seal(st, to)
+}
+
+// fillTables computes the per-attribute and full-space distance tables of
+// st.ids in arena storage, through the compiled kernel: the outlier binds
+// once, per-attribute distances read flat columns, and repeated text
+// values hit the pair cache / query memo instead of re-running
+// Levenshtein.
+func (s *Saver) fillTables(st *saveState, to data.Tuple) {
+	ar := st.ar
 	c := len(st.ids)
 	st.attrD = grow(ar.attrD, c*s.m)
 	ar.attrD = st.attrD
 	st.fullD = grow(ar.fullD, c)
 	ar.fullD = st.fullD
-	// Fill the tables through the compiled kernel: the outlier binds once,
-	// per-attribute distances read flat columns, and repeated text values
-	// hit the pair cache / query memo instead of re-running Levenshtein.
 	kq := s.kern.Bind(to)
 	for ci, i := range st.ids {
 		acc := 0.0
@@ -377,30 +437,17 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 	st.stats.TextCacheHits += kq.TextCacheHits
 	st.stats.TextCacheMisses += kq.TextCacheMisses
 	kq.Release()
+}
 
-	// Root candidate set: X = ∅ admits every (truncated) inlier. The root
-	// lists live in the depth-0 slabs; recurse builds each child's list in
-	// the slab one depth down.
-	cand := ar.intsAt(0, c)[:c]
-	subD := ar.floatsAt(0, c)[:c] // d_X aggregate per candidate (squared under L2)
-	for ci := range cand {
-		cand[ci] = ci
-		subD[ci] = 0
-	}
-
-	if kappaRestricted {
-		s.forEachStartMask(st, cand, subD)
-	} else {
-		s.recurse(st, 0, cand, subD)
-	}
-
-	// Seal this save's counter shard: node and trip counts from the
-	// budget, index traffic from the counting view.
+// seal closes this save's counter shard — node and trip counts from the
+// budget, index traffic from the counting views — and turns the best
+// solution into an Adjustment.
+func (s *Saver) seal(st *saveState, to data.Tuple) Adjustment {
 	st.stats.Nodes = int64(st.bud.nodes)
 	if st.bud.exhausted {
 		st.stats.BudgetTrips = 1
 	}
-	addCounters(st.stats, ar.nc)
+	addCounters(st.stats, st.ar.nc)
 
 	if st.bestT2 < 0 {
 		// Natural is only a sound classification when the search ran to
@@ -420,7 +467,7 @@ func (s *Saver) save(ctx context.Context, to data.Tuple, ar *saveArena) Adjustme
 		Index:     -1,
 		Tuple:     adj,
 		Cost:      st.bestCost,
-		Adjusted:  data.DiffMask(sch, to, adj),
+		Adjusted:  data.DiffMask(s.rel.Schema, to, adj),
 		Nodes:     st.bud.nodes,
 		Exhausted: st.bud.exhausted,
 		Stats:     *st.stats,
@@ -433,24 +480,32 @@ func (s *Saver) Mutable() *neighbors.Mutable { return s.mut }
 
 // InsertInlier appends t to the inlier relation through the mutable
 // index, extending the η-radius table with a +Inf placeholder, and
-// returns the new physical row index. The caller must follow up with
-// RefreshRadii(t) — the placeholder makes the new row temporarily
-// useless as a Proposition 5 donor, never unsound. Panics on a static
-// saver. Like all the mutation surface, the call must be serialized
-// against concurrent saves by the caller (the serving layer holds a
-// session-wide write lock).
+// returns the new physical row index. The attribute-group indexes of a
+// κ-restricted saver take the row at the same physical index. The caller
+// must follow up with RefreshRadii(t) — the placeholder makes the new row
+// temporarily useless as a Proposition 5 donor, never unsound. Panics on
+// a static saver. Like all the mutation surface, the call must be
+// serialized against concurrent saves by the caller (the serving layer
+// holds a session-wide write lock).
 func (s *Saver) InsertInlier(t data.Tuple) int {
 	i := s.mut.Insert(t)
+	s.insertGroups(t, i)
 	for len(s.etaRadius) <= i {
 		s.etaRadius = append(s.etaRadius, math.Inf(1))
 	}
 	return i
 }
 
-// RemoveInlier tombstones inlier row i. Its η-radius entry goes stale in
-// place; the index never reports tombstoned rows and the all-rows
-// fallback skips them, so the stale value is unreachable.
-func (s *Saver) RemoveInlier(i int) { s.mut.Delete(i) }
+// RemoveInlier tombstones inlier row i in the index and in every
+// attribute-group index. Its η-radius entry goes stale in place; no index
+// reports tombstoned rows and the unrestricted all-rows fallback skips
+// them, so the stale value is unreachable.
+func (s *Saver) RemoveInlier(i int) {
+	s.mut.Delete(i)
+	for _, g := range s.groups {
+		g.mut.Delete(i)
+	}
+}
 
 // RefreshRadii recomputes the exact η-th-neighbor radius of every live
 // inlier within ε of center (the locality bound: a membership change at

@@ -48,6 +48,14 @@ type Kernel struct {
 	allNum bool
 	rows   []float64
 	scales []float64
+	// Row j of the mirror is rows[j*stride+off:][:m]. A compiled kernel
+	// has stride m and off 0; a block view (Project) of its parent's
+	// attributes [off, off+m) reads the parent's mirror in place.
+	stride, off int
+
+	// parent is the kernel a block view shares its storage with (nil
+	// for a compiled kernel).
+	parent *Kernel
 }
 
 // kernelAttr is one compiled column.
@@ -136,6 +144,7 @@ func CompileKernel(r *Relation) *Kernel {
 	}
 	if m := len(k.attrs); k.allNum && m > 0 {
 		k.rows = make([]float64, n*m)
+		k.stride = m
 		k.scales = make([]float64, m)
 		for a := range k.attrs {
 			k.scales[a] = k.attrs[a].scale
@@ -148,16 +157,59 @@ func CompileKernel(r *Relation) *Kernel {
 	return k
 }
 
+// Project returns a block view of k: a kernel for rel, the relation of
+// k's rows projected onto the attributes [lo, hi), that shares k's
+// storage instead of compiling its own — numeric columns, text
+// dictionaries and pair caches, and the all-numeric row-major mirror,
+// read in place. rel's schema must be k's attributes [lo, hi) under k's
+// norm. Distances over the view are bit-identical to those of
+// CompileKernel(rel).
+func (k *Kernel) Project(rel *Relation, lo, hi int) *Kernel {
+	if rel.Schema.M() != hi-lo || rel.Schema.Norm != k.norm {
+		panic(fmt.Sprintf("data: projection schema (%d attributes) does not match block [%d, %d) of the kernel", rel.Schema.M(), lo, hi))
+	}
+	v := &Kernel{sch: rel.Schema, rel: rel, norm: k.norm, parent: k, off: lo}
+	v.sync()
+	return v
+}
+
+// sync re-reads a block view's shared storage from its parent, whose
+// column headers change as rows are appended.
+func (k *Kernel) sync() {
+	p, m := k.parent, k.sch.M()
+	k.n = p.n
+	k.attrs = append(k.attrs[:0], p.attrs[k.off:k.off+m]...)
+	k.allNum = true
+	for a := range k.attrs {
+		if k.attrs[a].kind != Numeric {
+			k.allNum = false
+		}
+	}
+	if p.rows != nil {
+		k.rows, k.stride = p.rows, p.stride
+		k.scales = p.scales[k.off : k.off+m]
+	}
+}
+
 // AppendRow absorbs one row just appended to the relation into the
 // compiled columns: numeric columns and the all-numeric row-major mirror
 // grow by one value, text values are interned (new dictionary entries
 // extend the pair cache — the dense triangular layout keeps existing
 // slots valid, and a dictionary that outgrows the dense budget migrates
 // its cached pairs to the sharded maps). The tuple must already be
-// Relation.Append-ed; its arity is checked there. AppendRow is a writer:
-// callers must serialize it against every concurrent query and every
-// other mutation (the serving layer holds a session-wide write lock).
+// Relation.Append-ed; its arity is checked there. A block view (Project)
+// appends nothing: its parent must already hold the row, and the view
+// re-reads the parent's storage. AppendRow is a writer: callers must
+// serialize it against every concurrent query and every other mutation
+// (the serving layer holds a session-wide write lock).
 func (k *Kernel) AppendRow(t Tuple) {
+	if k.parent != nil {
+		if k.parent.n != k.n+1 {
+			panic(fmt.Sprintf("data: block view at %d rows appended against a parent kernel at %d", k.n, k.parent.n))
+		}
+		k.sync()
+		return
+	}
 	m := len(k.attrs)
 	for a := 0; a < m; a++ {
 		ka := &k.attrs[a]
@@ -314,8 +366,8 @@ func (k *Kernel) rowOf(j int) []float64 {
 	if k.rows == nil {
 		return nil
 	}
-	m := len(k.attrs)
-	return k.rows[j*m : j*m+m : j*m+m]
+	b, m := j*k.stride+k.off, len(k.attrs)
+	return k.rows[b : b+m : b+m]
 }
 
 // rowDist is the all-numeric full-distance scan shared by Kernel.Dist

@@ -381,3 +381,103 @@ func TestKernelShardedCache(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestKernelProjectDifferential proves a block view (Kernel.Project) is
+// bit-identical to a kernel compiled from the projected relation, for
+// every block of a mixed schema (no row-major mirror) and of an
+// all-numeric one (the view reads its parent's mirror at the parent's
+// stride), across norms, and again after rows are appended through the
+// parent and the view.
+func TestKernelProjectDifferential(t *testing.T) {
+	numericOnly := func(r *Relation) *Relation {
+		sch := &Schema{Norm: r.Schema.Norm, Attrs: r.Schema.Attrs[:3]}
+		out := NewRelation(sch)
+		for _, tp := range r.Tuples {
+			out.Append(tp[:3:3].Clone())
+		}
+		return out
+	}
+	for _, norm := range []metric.Norm{metric.L2, metric.L1, metric.LInf} {
+		for _, shape := range []string{"mixed", "numeric"} {
+			rng := rand.New(rand.NewSource(int64(norm) + 7))
+			r := kernelTestRelation(rng, norm, 50)
+			extra := kernelTestRelation(rng, norm, 5)
+			if shape == "numeric" {
+				r, extra = numericOnly(r), numericOnly(extra)
+			}
+			m := r.Schema.M()
+			k := CompileKernel(r)
+			type block struct {
+				lo, hi int
+				proj   *Relation
+				view   *Kernel
+			}
+			var blocks []block
+			for lo := 0; lo < m; lo++ {
+				for hi := lo + 1; hi <= m; hi++ {
+					proj := &Relation{Schema: &Schema{Norm: norm, Attrs: r.Schema.Attrs[lo:hi]}}
+					for _, tp := range r.Tuples {
+						proj.Tuples = append(proj.Tuples, tp[lo:hi:hi])
+					}
+					blocks = append(blocks, block{lo, hi, proj, k.Project(proj, lo, hi)})
+				}
+			}
+			check := func(stage string) {
+				for _, b := range blocks {
+					ref := CompileKernel(b.proj)
+					where := fmt.Sprintf("%v %s block [%d,%d) %s", norm, shape, b.lo, b.hi, stage)
+					if b.view.N() != ref.N() {
+						t.Fatalf("%s: view has %d rows, compiled %d", where, b.view.N(), ref.N())
+					}
+					for trial := 0; trial < 200; trial++ {
+						i, j := rng.Intn(ref.N()), rng.Intn(ref.N())
+						if got, want := b.view.Dist(i, j), ref.Dist(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: Dist(%d,%d) = %v, compiled %v", where, i, j, got, want)
+						}
+						a := rng.Intn(b.hi - b.lo)
+						if got, want := b.view.AttrDist(a, i, j), ref.AttrDist(a, i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: AttrDist(%d,%d,%d) = %v, compiled %v", where, a, i, j, got, want)
+						}
+						q := b.proj.Tuples[rng.Intn(ref.N())]
+						vq, rq := b.view.Bind(q), ref.Bind(q)
+						eps := ref.Dist(i, j)
+						dv, okv := vq.DistToLE(j, LEBound(norm, eps))
+						dr, okr := rq.DistToLE(j, LEBound(norm, eps))
+						if math.Float64bits(vq.DistTo(j)) != math.Float64bits(rq.DistTo(j)) || okv != okr || (okv && dv != dr) {
+							t.Fatalf("%s: query distances to row %d differ", where, j)
+						}
+						vq.Release()
+						rq.Release()
+					}
+				}
+			}
+			check("as built")
+			for _, tp := range extra.Tuples {
+				r.Append(tp)
+				k.AppendRow(tp)
+				for _, b := range blocks {
+					b.proj.Tuples = append(b.proj.Tuples, tp[b.lo:b.hi:b.hi])
+					b.view.AppendRow(tp[b.lo:b.hi:b.hi])
+				}
+			}
+			check("after appends")
+		}
+	}
+}
+
+// TestKernelProjectAppendOutOfStep pins the view's append contract: the
+// parent must take the row first.
+func TestKernelProjectAppendOutOfStep(t *testing.T) {
+	r := kernelTestRelation(rand.New(rand.NewSource(1)), metric.L2, 10)
+	proj := &Relation{Schema: &Schema{Attrs: r.Schema.Attrs[:2]}}
+	for _, tp := range r.Tuples {
+		proj.Tuples = append(proj.Tuples, tp[:2:2])
+	}
+	view := CompileKernel(r).Project(proj, 0, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("view append ahead of its parent did not panic")
+		}
+	}()
+	view.AppendRow(r.Tuples[0][:2:2])
+}

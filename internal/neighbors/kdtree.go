@@ -50,17 +50,18 @@ const kdLeafSize = 16
 // NewKDTree builds the tree; it panics on non-numeric schemas (route
 // those to the VP-tree), matching the grid's contract.
 func NewKDTree(r *data.Relation) *KDTree {
+	return NewKDTreeKernel(r, data.CompileKernel(r))
+}
+
+// NewKDTreeKernel is NewKDTree reusing kern, an already-compiled kernel
+// of r (the Mutable wrapper keeps one kernel alive across delta merges;
+// the saver's attribute-block indexes use data.Kernel.Project views).
+func NewKDTreeKernel(r *data.Relation, kern *data.Kernel) *KDTree {
 	for _, a := range r.Schema.Attrs {
 		if a.Kind != data.Numeric {
 			panic("neighbors: kd-tree requires an all-numeric schema")
 		}
 	}
-	return newKDTreeKernel(r, data.CompileKernel(r))
-}
-
-// newKDTreeKernel builds the tree reusing an already-compiled kernel
-// (the Mutable wrapper keeps one kernel alive across delta merges).
-func newKDTreeKernel(r *data.Relation, kern *data.Kernel) *KDTree {
 	m := r.Schema.M()
 	t := &KDTree{r: r, kern: kern, m: m, scales: make([]float64, m), root: -1}
 	t.cols = make([][]float64, m)

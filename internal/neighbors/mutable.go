@@ -117,6 +117,14 @@ type Mutable struct {
 // the HTTP layer surfaces it as a 400 rather than the constructors'
 // programming-error panic.
 func NewMutable(r *data.Relation, eps float64, kind IndexKind) (*Mutable, error) {
+	return NewMutableKernel(r, data.CompileKernel(r), eps, kind)
+}
+
+// NewMutableKernel is NewMutable reusing kern, an already-compiled
+// kernel of r, such as a data.Kernel.Project view of a wider relation's
+// kernel. Inserts append through kern, so a view's parent must take each
+// row first.
+func NewMutableKernel(r *data.Relation, kern *data.Kernel, eps float64, kind IndexKind) (*Mutable, error) {
 	numeric := true
 	for _, a := range r.Schema.Attrs {
 		if a.Kind != data.Numeric {
@@ -139,7 +147,7 @@ func NewMutable(r *data.Relation, eps float64, kind IndexKind) (*Mutable, error)
 	}
 	m := &Mutable{
 		r:    r,
-		kern: data.CompileKernel(r),
+		kern: kern,
 		eps:  eps,
 		seed: 1,
 		kind: kind,
@@ -159,11 +167,11 @@ func (m *Mutable) rebuildBase() {
 		g.brute.dead = &m.ds
 		m.base, m.grid = g, g
 	case KindKD:
-		t := newKDTreeKernel(m.r, m.kern)
+		t := NewKDTreeKernel(m.r, m.kern)
 		t.dead = &m.ds
 		m.base = t
 	case KindVP:
-		t := newVPTreeKernel(m.r, m.kern, m.seed)
+		t := NewVPTreeKernel(m.r, m.kern, m.seed)
 		t.dead = &m.ds
 		m.base = t
 	default:

@@ -48,13 +48,14 @@ type vpNode struct {
 
 // NewVPTree builds the tree over r; seed drives vantage-point selection.
 func NewVPTree(r *data.Relation, seed int64) *VPTree {
-	return newVPTreeKernel(r, data.CompileKernel(r), seed)
+	return NewVPTreeKernel(r, data.CompileKernel(r), seed)
 }
 
-// newVPTreeKernel builds the tree reusing an already-compiled kernel
-// (the Mutable wrapper keeps one kernel — and its warmed text caches —
-// alive across delta merges).
-func newVPTreeKernel(r *data.Relation, kern *data.Kernel, seed int64) *VPTree {
+// NewVPTreeKernel is NewVPTree reusing kern, an already-compiled kernel
+// of r (the Mutable wrapper keeps one kernel — and its warmed text
+// caches — alive across delta merges; the saver's attribute-block
+// indexes use data.Kernel.Project views).
+func NewVPTreeKernel(r *data.Relation, kern *data.Kernel, seed int64) *VPTree {
 	t := &VPTree{r: r, kern: kern, root: -1}
 	if r.N() == 0 {
 		return t

@@ -389,7 +389,10 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing saver for %q: %w", name, err)
 	}
-	setupStats, _, etaRadius := saver.SetupStats()
+	// The saver's own build time covers the attribute-group indexes of a
+	// κ-restricted session (saverMut was supplied, so nothing else).
+	setupStats, groupBuild, etaRadius := saver.SetupStats()
+	saverIdxBuild += groupBuild
 
 	s := &Session{
 		ID: id, Name: name, Key: key,

@@ -252,10 +252,12 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 		return nil, fmt.Errorf("serve: rebuilding index for %q: %w", snap.ID, err)
 	}
 	detIdxBuild := time.Since(t0)
+	t1 := time.Now()
 	saverMut, err := disc.NewMutableIndex(snap.Rel.Subset(det.Inliers), cons.Eps, kind)
 	if err != nil {
 		return nil, fmt.Errorf("serve: rebuilding saver index for %q: %w", snap.ID, err)
 	}
+	saverIdxBuild := time.Since(t1)
 	saver, err := disc.NewSaverContext(ctx, saverMut.Rel(), cons, disc.Options{
 		Kappa:    snap.Params.Kappa,
 		MaxNodes: snap.Params.MaxNodes,
@@ -265,7 +267,10 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing saver for %q: %w", snap.ID, err)
 	}
-	setupStats, saverIdxBuild, etaRadius := saver.SetupStats()
+	// The saver's own build time covers the attribute-group indexes of a
+	// κ-restricted session (saverMut was supplied, so nothing else).
+	setupStats, groupBuild, etaRadius := saver.SetupStats()
+	saverIdxBuild += groupBuild
 	s := &Session{
 		ID: snap.ID, Name: snap.Name, Key: snap.Key,
 		Source: snap.SourcePath,

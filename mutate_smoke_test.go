@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -90,11 +91,14 @@ func TestMutateSmoke(t *testing.T) {
 	}
 
 	// Upload a vp-indexed cluster: vp absorbs single-tuple inserts through
-	// its delta buffer, so enough appends force a mid-stream merge.
-	rel := disc.NewRelation(disc.NewNumericSchema("x", "y"))
+	// its delta buffer, so enough appends force a mid-stream merge. Three
+	// attributes make the session's κ=2 a real restriction (κ < m), so the
+	// save below runs on the attribute-group indexes the inserts and
+	// deletes must keep in step.
+	rel := disc.NewRelation(disc.NewNumericSchema("x", "y", "z"))
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
-			rel.Append(disc.Tuple{disc.Num(float64(i) * 0.4), disc.Num(float64(j) * 0.4)})
+			rel.Append(disc.Tuple{disc.Num(float64(i) * 0.4), disc.Num(float64(j) * 0.4), disc.Num(float64((i+j)%3) * 0.4)})
 		}
 	}
 	var csvBuf bytes.Buffer
@@ -125,7 +129,7 @@ func TestMutateSmoke(t *testing.T) {
 	var lastHandle int
 	for i := 0; i < 40; i++ {
 		resp, body = request("POST", sessPath+"/tuples", map[string]any{
-			"tuple": []float64{3.0 + float64(i%7)*0.3, 3.0 + float64(i/7)*0.3},
+			"tuple": []float64{3.0 + float64(i%7)*0.3, 3.0 + float64(i/7)*0.3, 3.0 + float64(i%3)*0.3},
 		})
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("insert %d: status %d, body %s", i, resp.StatusCode, body)
@@ -145,7 +149,7 @@ func TestMutateSmoke(t *testing.T) {
 
 	// The new cluster's interior is now inlier territory.
 	resp, body = request("POST", sessPath+"/detect", map[string]any{
-		"tuples": [][]float64{{3.3, 3.3}, {25, 25}},
+		"tuples": [][]float64{{3.3, 3.3, 3.3}, {25, 25, 25}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("detect: status %d, body %s", resp.StatusCode, body)
@@ -165,7 +169,7 @@ func TestMutateSmoke(t *testing.T) {
 	// Update the last inserted row, then delete it; its handle becomes a
 	// hole while every other handle keeps working.
 	resp, body = request("PUT", fmt.Sprintf("%s/tuples/%d", sessPath, lastHandle),
-		map[string]any{"tuple": []float64{3.1, 3.1}})
+		map[string]any{"tuple": []float64{3.1, 3.1, 3.1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: status %d, body %s", resp.StatusCode, body)
 	}
@@ -179,21 +183,27 @@ func TestMutateSmoke(t *testing.T) {
 	}
 
 	// A save near the inserted cluster repairs against the mutated state:
-	// only the appended tuples can donate values in the 3.x range.
-	resp, body = request("POST", sessPath+"/save", map[string]any{"tuple": []float64{4.6, 3.4}})
+	// only the appended tuples can donate values in the 3.x range. Its z
+	// is off by ~6, so the κ=2 search must adjust z from the union of the
+	// attribute-group queries.
+	resp, body = request("POST", sessPath+"/save", map[string]any{"tuple": []float64{4.6, 3.4, 9}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("save: status %d, body %s", resp.StatusCode, body)
 	}
 	var adj struct {
-		Saved bool    `json:"saved"`
-		Tuple []any   `json:"tuple"`
-		Cost  float64 `json:"cost"`
+		Saved    bool     `json:"saved"`
+		Tuple    []any    `json:"tuple"`
+		Cost     float64  `json:"cost"`
+		Adjusted []string `json:"adjusted"`
 	}
 	if err := json.Unmarshal(body, &adj); err != nil {
 		t.Fatal(err)
 	}
 	if !adj.Saved {
 		t.Fatalf("outlier near the inserted cluster not saved: %s", body)
+	}
+	if len(adj.Adjusted) == 0 || len(adj.Adjusted) > 2 || !slices.Contains(adj.Adjusted, "z") {
+		t.Fatalf("κ=2 save adjusted %v, want z and at most one other attribute: %s", adj.Adjusted, body)
 	}
 
 	// Session info: mutation counters moved and the vp delta buffer merged
