@@ -98,6 +98,7 @@ chaos:
 # pattern per package run.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSave -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzGridQueries -fuzztime=$(FUZZTIME) ./internal/neighbors
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinMetric -fuzztime=$(FUZZTIME) ./internal/metric
 	$(GO) test -run='^$$' -fuzz=FuzzNGramSimilarityBounds -fuzztime=$(FUZZTIME) ./internal/metric

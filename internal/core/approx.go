@@ -24,6 +24,12 @@
 //     capped at η (detection only needs the side of η, so the refinement
 //     rides the CountWithin early exit).
 //
+// Every path stores the Detection.Counts contract, min(|D_ε(t)|, η): a
+// clear inlier stores η, a clear outlier its exact count (one η-capped
+// count on the full index — cheap, since outliers are the rare side and
+// their balls are small), the band its capped count. A mutable session
+// can therefore do exact ±1 arithmetic on an approximate detection.
+//
 // At η well below xClear — every realistic configuration, since xClear ≈
 // z² + η·s/n — the inlier certificate cannot misfire even in the worst
 // case, so with refinement enabled the detection split is bit-identical to
@@ -73,9 +79,10 @@ type ApproxOptions struct {
 	SampleRate float64
 	// Seed drives the sample draw (0 means 1); fixed seed, fixed split.
 	Seed int64
-	// NoRefine accepts the point estimate for borderline tuples instead
-	// of refining them exactly — detection becomes fully sublinear but
-	// only statistically correct (the accuracy tests use this).
+	// NoRefine accepts the point estimate (capped at η) for borderline
+	// tuples instead of refining them exactly — detection becomes fully
+	// sublinear but only statistically correct (the accuracy tests use
+	// this).
 	NoRefine bool
 	// Off disables approximation even when Confidence is set; it exists
 	// so a zero-value-is-off toggle can be threaded through config
@@ -123,11 +130,12 @@ func DetectApprox(rel *data.Relation, cons Constraints, idx neighbors.Index, ap 
 }
 
 // DetectApproxContext splits rel under the constraints using sampled
-// neighbor-count estimates, refining only the borderline band exactly. The
-// result is a drop-in *Detection: the split obeys Counts[i] ≥ η ⇔ inlier
-// (so RehydrateDetection round-trips it), but Counts of sampled-certified
-// tuples are estimates, not exact counts. Relations smaller than MinN (or
-// smaller than the sample would be) fall back to the exact pass.
+// neighbor-count certificates, refining only the borderline band exactly.
+// The result is a drop-in *Detection with the same saturated Counts as
+// DetectContext, min(|D_ε(t_i)|, η): certified inliers store η and
+// certified outliers their exact count (only NoRefine leaves estimates in
+// the band). Relations smaller than MinN (or smaller than the sample would
+// be) fall back to the exact pass.
 func DetectApproxContext(ctx context.Context, rel *data.Relation, cons Constraints, idx neighbors.Index, ap ApproxOptions) (*Detection, error) {
 	if err := cons.Validate(); err != nil {
 		return nil, err
@@ -176,11 +184,11 @@ func DetectApproxContext(ctx context.Context, rel *data.Relation, cons Constrain
 }
 
 // ApproxNeighborCounts classifies only the given tuple positions,
-// returning one η-side-consistent count per position plus the merged
-// index-traffic stats. It is the sharded engine's entry point: a shard owns
-// a subset of positions but probes its whole owned+halo index, so the
-// counts equal what a global approximate pass would produce for those
-// tuples. workers ≤ 1 runs inline.
+// returning one saturated count per position (the Detection.Counts
+// contract) plus the merged index-traffic stats. It is the sharded
+// engine's entry point: a shard owns a subset of positions but probes its
+// whole owned+halo index, so the counts equal what a global approximate
+// pass would produce for those tuples. workers ≤ 1 runs inline.
 func ApproxNeighborCounts(ctx context.Context, rel *data.Relation, cons Constraints, idx neighbors.Index, ap ApproxOptions, positions []int, workers int) ([]int, obs.SearchStats, error) {
 	var st obs.SearchStats
 	if err := cons.Validate(); err != nil {
@@ -197,7 +205,7 @@ func ApproxNeighborCounts(ctx context.Context, rel *data.Relation, cons Constrai
 		var c neighbors.Counters
 		view := neighbors.WithContext(ctx, neighbors.Counting(idx, &c))
 		for k, i := range positions {
-			counts[k] = view.CountWithin(rel.Tuples[i], cons.Eps, i, 0)
+			counts[k] = view.CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
 		}
 		addCounters(&st, c)
 		if err := ctx.Err(); err != nil {
@@ -313,9 +321,10 @@ func (w *approxWorker) bind(ctx context.Context, p *approxPlan) {
 	w.samp = neighbors.WithContext(ctx, neighbors.Counting(p.samp, &w.sc))
 }
 
-// classify returns an η-side-consistent neighbor count for tuple i: the
-// certificate cascade described in the file comment, falling through to
-// the exact (η-capped) count for the borderline band.
+// classify returns tuple i's saturated neighbor count min(|D_ε(t_i)|, η):
+// the certificate cascade described in the file comment decides the side
+// of η, and the exact η-capped count on the full index supplies the value
+// wherever it is below η.
 func (p *approxPlan) classify(w *approxWorker, i int) int {
 	t := p.rel.Tuples[i]
 	eps, eta := p.cons.Eps, p.cons.Eta
@@ -333,30 +342,23 @@ func (p *approxPlan) classify(w *approxWorker, i int) int {
 		if x >= xClear {
 			// Clear inlier: even the capped (under-)count certifies.
 			w.sampled++
-			est := p.estimate(x, sEff)
-			if est < eta {
-				est = eta
-			}
-			return est
+			return eta
 		}
 		if _, hi := stats.WilsonInterval(x, sEff, p.z); hi*float64(p.n-1) < float64(eta) {
-			// Clear outlier, statistically.
+			// Clear outlier, statistically; its exact count is one capped
+			// query over a small ball.
 			w.sampled++
-			est := p.estimate(x, sEff)
-			if est >= eta {
-				est = eta - 1
-			}
-			return est
+			return w.full.CountWithin(t, eps, i, eta)
 		}
 		if ub, ok := neighbors.CubeBound(p.full, t, eps, i); ok && ub < eta {
 			// Clear outlier, deterministically: the grid cube population
 			// bounds the true count from above at zero distance cost.
 			w.sampled++
-			return ub
+			return w.full.CountWithin(t, eps, i, eta)
 		}
 		if p.noRef {
 			w.sampled++
-			return p.estimate(x, sEff)
+			return min(p.estimate(x, sEff), eta)
 		}
 	}
 	// Borderline band: exact machinery, needing only the side of η — the

@@ -48,7 +48,12 @@ func (c Constraints) Validate() error {
 type Detection struct {
 	// Inliers and Outliers are tuple indexes into the detected relation.
 	Inliers, Outliers []int
-	// Counts[i] is |D_ε(t_i)| excluding t_i itself.
+	// Counts[i] is the saturated neighbor count min(|D_ε(t_i)|, η),
+	// t_i itself excluded: exact below η, and "at least η" when it equals
+	// η. Definition 1 only asks which side of η a tuple is on, so every
+	// detection path stops counting there; callers that need the full
+	// distribution (parameter determination, Figure 5) use
+	// NeighborCounts instead.
 	Counts []int
 	// Stats holds the index traffic of the counting pass (range queries,
 	// distance evaluations, grid fallbacks); the search counters stay
@@ -73,12 +78,17 @@ func (d *Detection) IsOutlier(i int) bool {
 // counts and the resolved η, re-deriving the inlier/outlier split without
 // touching the data. It is the restart path of a durable serving layer:
 // counts are the expensive part of DetectContext, so a snapshot that kept
-// them skips the counting pass entirely. Stats, Elapsed and IndexBuild stay
-// zero — no index traffic happened — which is exactly how callers tell a
-// rehydrated detection from a computed one.
+// them skips the counting pass entirely. Counts above η — full counts
+// persisted before detection saturated at η — are clamped to η in place,
+// so the result obeys the Detection.Counts contract either way. Stats,
+// Elapsed and IndexBuild stay zero — no index traffic happened — which is
+// exactly how callers tell a rehydrated detection from a computed one.
 func RehydrateDetection(counts []int, eta int) *Detection {
 	det := &Detection{Counts: counts, eta: eta}
 	for i, c := range counts {
+		if c > eta {
+			counts[i] = eta
+		}
 		if c >= eta {
 			det.Inliers = append(det.Inliers, i)
 		} else {
@@ -111,10 +121,11 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 	}
 	n := rel.N()
 	det := &Detection{Counts: make([]int, n), eta: cons.Eta, IndexBuild: indexBuild}
-	// No early exit on the counts: the exact values feed parameter
-	// determination and the Figure 5 histograms. Counting is read-only
-	// per tuple, so it fans out across cores — each worker counts index
-	// traffic in its own shard, merged once the pool joins.
+	// Each count stops at η (the saturated Counts contract): the split
+	// only needs the side of η, and a dense inlier's ball is far larger
+	// than η. Counting is read-only per tuple, so it fans out across
+	// cores — each worker counts index traffic in its own shard, merged
+	// once the pool joins.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -125,7 +136,7 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 		views[w] = neighbors.WithContext(ctx, neighbors.Counting(idx, &shards[w]))
 	}
 	errs := par.ForEachWorker(ctx, n, workers, func(w, i int) error {
-		det.Counts[i] = views[w].CountWithin(rel.Tuples[i], cons.Eps, i, 0)
+		det.Counts[i] = views[w].CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
 		return nil
 	})
 	var merged neighbors.Counters

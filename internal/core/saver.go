@@ -84,8 +84,10 @@ type Saver struct {
 	// warmed by both; the per-outlier candidate tables read from it.
 	kern *data.Kernel
 	// etaRadius[i] = δ_η(t_i): distance from t_i to its η-th nearest
-	// neighbor within r. A tuple position with δ_η ≤ ε − d satisfies the
-	// constraints for any adjustment within d of it (Proposition 5).
+	// neighbor within r, or +Inf when that neighbor lies beyond ε. A tuple
+	// position with δ_η ≤ ε − d satisfies the constraints for any
+	// adjustment within d of it (Proposition 5); every reader compares
+	// against ε − d ≤ ε, so clipping at ε changes no decision.
 	etaRadius []float64
 	m         int
 	sqNorm    bool // L2: accumulate squared per-attribute distances
@@ -185,17 +187,14 @@ func NewSaverContext(ctx context.Context, r *data.Relation, cons Constraints, op
 	}
 	shards := make([]neighbors.Counters, workers)
 	views := make([]neighbors.Index, workers)
+	bufs := make([][]neighbors.Neighbor, workers)
 	for w := range views {
 		views[w] = neighbors.WithContext(ctx, neighbors.Counting(idx, &shards[w]))
 	}
 	start := time.Now()
 	errs := par.ForEachWorker(ctx, r.N(), workers, func(w, i int) error {
-		nn := views[w].KNN(r.Tuples[i], cons.Eta, i)
-		if len(nn) < cons.Eta {
-			s.etaRadius[i] = math.Inf(1)
-			return nil
-		}
-		s.etaRadius[i] = nn[cons.Eta-1].Dist
+		bufs[w] = neighbors.KNNWithin(views[w], bufs[w], r.Tuples[i], cons.Eta, cons.Eps, i)
+		s.etaRadius[i] = s.clippedRadius(bufs[w])
 		return nil
 	})
 	s.setup.etaRadius = time.Since(start)
@@ -507,30 +506,36 @@ func (s *Saver) RemoveInlier(i int) {
 	}
 }
 
-// RefreshRadii recomputes the exact η-th-neighbor radius of every live
-// inlier within ε of center (the locality bound: a membership change at
-// distance > ε from a tuple cannot move its δ_η across the only
-// threshold the saver tests, δ_η ≤ ε − d with d ≥ 0, so radii outside
-// the ball may drift above ε without ever changing a feasibility
-// answer). Call it once per mutated value — old value, new value, and
-// each tuple whose inlier/outlier status flipped — after all membership
-// changes of the mutation have been applied. Returns the number of rows
-// refreshed.
+// RefreshRadii recomputes the η-th-neighbor radius, clipped at ε like the
+// precompute's, of every live inlier within ε of center (the locality
+// bound: a membership change at distance > ε from a tuple cannot move its
+// δ_η across the only threshold the saver tests, δ_η ≤ ε − d with d ≥ 0,
+// so radii outside the ball may drift above ε without ever changing a
+// feasibility answer). Call it once per mutated value — old value, new
+// value, and each tuple whose inlier/outlier status flipped — after all
+// membership changes of the mutation have been applied. Returns the
+// number of rows refreshed.
 func (s *Saver) RefreshRadii(center data.Tuple) int {
 	if s.mut == nil {
 		return 0
 	}
 	ball := s.idx.Within(center, s.cons.Eps, -1)
+	var nn []neighbors.Neighbor
 	for _, nb := range ball {
 		i := nb.Idx
-		nn := s.idx.KNN(s.rel.Tuples[i], s.cons.Eta, i)
-		if len(nn) < s.cons.Eta {
-			s.etaRadius[i] = math.Inf(1)
-		} else {
-			s.etaRadius[i] = nn[s.cons.Eta-1].Dist
-		}
+		nn = neighbors.KNNWithin(s.idx, nn, s.rel.Tuples[i], s.cons.Eta, s.cons.Eps, i)
+		s.etaRadius[i] = s.clippedRadius(nn)
 	}
 	return len(ball)
+}
+
+// clippedRadius turns a bounded η-NN answer into the stored δ_η: the η-th
+// distance, or +Inf when fewer than η neighbors lie within ε.
+func (s *Saver) clippedRadius(nn []neighbors.Neighbor) float64 {
+	if len(nn) < s.cons.Eta {
+		return math.Inf(1)
+	}
+	return nn[s.cons.Eta-1].Dist
 }
 
 // initialBound finds the nearest inlier whose η-th-neighbor radius fits

@@ -55,7 +55,7 @@ func (g *Grid) cubeBound(q data.Tuple, eps float64, skip int) (int, bool) {
 		return 0, false
 	}
 	total := 0
-	g.visit(q, reach, func(idx []int) bool {
+	g.visit(q, reach, nil, false, func(idx []int) bool {
 		total += len(idx)
 		return true
 	})

@@ -105,11 +105,17 @@ func (k *CellKeyer) Packed() bool { return k.packed }
 // Coord returns the scaled grid coordinate of attribute a of tuple t; cells
 // must bucket by the same scaled units the distance kernel uses.
 func (k *CellKeyer) Coord(t data.Tuple, a int) int {
+	return int(math.Floor(k.scaled(t, a) / k.cell))
+}
+
+// scaled returns attribute a of t in the scaled units the distance kernel
+// divides by, before bucketing.
+func (k *CellKeyer) scaled(t data.Tuple, a int) float64 {
 	v := t[a].Num
 	if s := k.rel.Schema.Attrs[a].Scale; s > 0 {
 		v /= s
 	}
-	return int(math.Floor(v / k.cell))
+	return v
 }
 
 // Coords fills dst (grown as needed) with every coordinate of t and returns

@@ -164,6 +164,14 @@ func (w *counting) KNN(q data.Tuple, k, skip int) []Neighbor {
 	return w.idx.KNN(q, k, skip)
 }
 
+// KNNWithinAppend implements KNNWithinAppender; a bounded k-NN counts
+// as one KNN query, so knn_queries stays comparable across indexes that
+// answer it natively and those that fall back to KNN.
+func (w *counting) KNNWithinAppend(dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor {
+	w.c.KNNQueries++
+	return knnWithinAppend(w.idx, dst, q, k, eps, skip)
+}
+
 // Rel implements Index.
 func (w *counting) Rel() *data.Relation { return w.idx.Rel() }
 

@@ -76,5 +76,14 @@ func (c *ctxIndex) KNN(q data.Tuple, k, skip int) []Neighbor {
 	return c.idx.KNN(q, k, skip)
 }
 
+// KNNWithinAppend implements KNNWithinAppender; a cancelled context
+// appends nothing.
+func (c *ctxIndex) KNNWithinAppend(dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor {
+	if c.cancelled() {
+		return dst
+	}
+	return knnWithinAppend(c.idx, dst, q, k, eps, skip)
+}
+
 // Rel implements Index.
 func (c *ctxIndex) Rel() *data.Relation { return c.idx.Rel() }

@@ -1,14 +1,18 @@
 package neighbors
 
 import (
+	"math"
+
 	"repro/internal/data"
 )
 
 // Grid is a uniform hash grid over numeric attributes with cell size equal
-// to the query radius hint. A range query with radius ≤ cell visits the
-// 3^m surrounding cells, so the grid suits m ≤ 6 (GPS and Flight have
-// m = 3). Radii larger than the cell size widen the visited cube
-// accordingly, so correctness never depends on the hint. The cube bound is
+// to the query radius hint. A range query with radius ≤ cell visits at
+// most the 3^m surrounding cells — the walk skips every cell whose box
+// lies farther from the query than the radius (see visit) — so the grid
+// suits m ≤ 6 (GPS and Flight have m = 3). Radii larger than the cell
+// size widen the visited cube accordingly, so correctness never depends
+// on the hint. The cube bound is
 // valid for every supported norm: each per-attribute (scaled) distance is
 // bounded by the L1/L2/L∞ aggregate, so a tuple within ε in aggregate is
 // within ε on every axis.
@@ -170,64 +174,158 @@ func appendCoord(b []byte, c int) []byte {
 	return b
 }
 
-// visit walks every cell within reach cells of q's cell in each dimension
+// gapSlack is the relative slack of the cell-gap lower bound (see
+// visit): 2^-40, four thousand times the unit roundoff, so it covers the
+// few roundings in v/scale, v/cell, c·cell and the kernel's own
+// per-attribute distance with a wide margin while giving up almost
+// nothing of the pruning.
+const gapSlack = 0x1p-40
+
+// axisGap returns a lower bound, in scaled units, on the distance along
+// one axis from a query at scaled value x (in cell c) to any tuple stored
+// in cell c+off. The exact gap is the distance from x to the facing cell
+// face; slack absorbs the rounding of the bucketing (it must grow with
+// |x|/cell, not only with ε: far from the origin a tuple can land one
+// cell over by an ulp of its coordinate), and the final shrink absorbs
+// the rounding of the kernel's distance and of the aggregate.
+func (g *Grid) axisGap(x float64, c, off int, slack float64) float64 {
+	var gap float64
+	switch {
+	case off > 0:
+		gap = float64(c+off)*g.cell - x
+	case off < 0:
+		gap = x - float64(c+off+1)*g.cell
+	default:
+		return 0
+	}
+	gap = (gap - slack) * (1 - gapSlack)
+	if !(gap > 0) { // also NaN coordinates: no pruning
+		return 0
+	}
+	return gap
+}
+
+// visit walks the cells within reach cells of q's cell in each dimension
 // and calls fn with the tuple indexes stored there. fn returns false to
-// stop early. The coordinate odometer and the key buffers live on the
-// stack (for m ≤ gridStackDims) and are reused across cells, so the walk
-// itself performs zero heap allocations: packed probes are a single
-// uint64 map lookup, string-fallback probes use the alloc-free string(b)
-// lookup form.
-func (g *Grid) visit(q data.Tuple, reach int, fn func(idx []int) bool) {
-	var baseA, offA, cellA [gridStackDims]int
+// stop early.
+//
+// When bound is non-nil, *bound is an accumulator-unit radius (a
+// data.LEBound) and the walk skips every cell whose box lies farther from
+// q than it: per-axis gaps from q's position inside its own cell,
+// aggregated with the schema norm, bound the distance from q to anything
+// in the cell from below. Each axis's offset range is first shrunk to the
+// offsets whose gap alone fits, then every remaining cell is checked
+// against the aggregate. *bound is re-read per cell, so a k-NN walk can
+// tighten it as its heap fills. Skipped cells hold no tuple within the
+// bound, and the surviving cells are visited in the unpruned odometer
+// order, so range results come out the same slice in the same order.
+// With selfFirst, q's own cell is visited before the odometer (which then
+// skips it): counts and k-NN answers do not depend on visit order, and
+// the densest cell first lets a capped count or a k-heap settle early.
+//
+// The coordinate odometer and the key buffers live on the stack (for
+// m ≤ gridStackDims) and are reused across cells, so the walk itself
+// performs zero heap allocations: packed probes are a single uint64 map
+// lookup, string-fallback probes use the alloc-free string(b) lookup
+// form.
+func (g *Grid) visit(q data.Tuple, reach int, bound *float64, selfFirst bool, fn func(idx []int) bool) {
+	var baseA, offA, cellA, loA, hiA [gridStackDims]int
+	var xA, slackA [gridStackDims]float64
 	var keyA [gridStackDims * 8]byte
-	var base, off, cc []int
+	var base, off, cc, lo, hi []int
+	var x, slack []float64
 	var kb []byte
 	if g.m <= gridStackDims {
-		base, off, cc, kb = baseA[:g.m], offA[:g.m], cellA[:g.m], keyA[:0]
+		base, off, cc, lo, hi, kb = baseA[:g.m], offA[:g.m], cellA[:g.m], loA[:g.m], hiA[:g.m], keyA[:0]
+		x, slack = xA[:g.m], slackA[:g.m]
 	} else {
-		base, off, cc = make([]int, g.m), make([]int, g.m), make([]int, g.m)
+		base, off, cc, lo, hi = make([]int, g.m), make([]int, g.m), make([]int, g.m), make([]int, g.m), make([]int, g.m)
+		x, slack = make([]float64, g.m), make([]float64, g.m)
 		kb = make([]byte, 0, g.m*8)
 	}
+	norm := g.kern.Norm()
 	for a := 0; a < g.m; a++ {
+		x[a] = g.key.scaled(q, a)
 		base[a] = g.coord(q, a)
-		off[a] = -reach
+		lo[a], hi[a] = -reach, reach
+		if bound != nil {
+			c := base[a]
+			if c < 0 {
+				c = -c
+			}
+			slack[a] = gapSlack * (math.Abs(x[a]) + float64(c+reach+1)*g.cell)
+			for lo[a] < 0 && norm.Accumulate(0, g.axisGap(x[a], base[a], lo[a], slack[a])) > *bound {
+				lo[a]++
+			}
+			for hi[a] > 0 && norm.Accumulate(0, g.axisGap(x[a], base[a], hi[a], slack[a])) > *bound {
+				hi[a]--
+			}
+		}
+		off[a] = lo[a]
+	}
+	if selfFirst {
+		if idx, ok := g.cellAt(base, kb); ok && !fn(idx) {
+			return
+		}
 	}
 	for {
-		var idx []int
-		var ok bool
-		if g.packed {
+		probe := true
+		if selfFirst {
+			probe = false
+			for a := 0; a < g.m; a++ {
+				if off[a] != 0 {
+					probe = true
+					break
+				}
+			}
+		}
+		if probe && bound != nil {
+			acc := 0.0
+			for a := 0; a < g.m; a++ {
+				acc = norm.Accumulate(acc, g.axisGap(x[a], base[a], off[a], slack[a]))
+			}
+			probe = !(acc > *bound)
+		}
+		if probe {
 			for a := 0; a < g.m; a++ {
 				cc[a] = base[a] + off[a]
 			}
-			var key uint64
-			if key, ok = g.packKey(cc); ok {
-				idx, ok = g.cells[key]
-			}
-		} else {
-			b := kb[:0]
-			for a := 0; a < g.m; a++ {
-				b = appendCoord(b, base[a]+off[a])
-			}
-			idx, ok = g.cellsStr[string(b)]
-		}
-		if ok {
-			if !fn(idx) {
+			if idx, ok := g.cellAt(cc, kb); ok && !fn(idx) {
 				return
 			}
 		}
-		// Odometer increment over off ∈ [-reach, reach]^m.
+		// Odometer increment over off ∈ [lo, hi]^m.
 		a := 0
 		for ; a < g.m; a++ {
 			off[a]++
-			if off[a] <= reach {
+			if off[a] <= hi[a] {
 				break
 			}
-			off[a] = -reach
+			off[a] = lo[a]
 		}
 		if a == g.m {
 			return
 		}
 	}
+}
+
+// cellAt returns the tuple indexes stored in the cell at coordinates c;
+// kb is scratch for the string-fallback key.
+func (g *Grid) cellAt(c []int, kb []byte) ([]int, bool) {
+	if g.packed {
+		key, ok := g.packKey(c)
+		if !ok {
+			return nil, false
+		}
+		idx, ok := g.cells[key]
+		return idx, ok
+	}
+	b := kb[:0]
+	for a := 0; a < g.m; a++ {
+		b = appendCoord(b, c[a])
+	}
+	idx, ok := g.cellsStr[string(b)]
+	return idx, ok
 }
 
 // reach converts a query radius into the cell reach of the visited cube.
@@ -260,7 +358,7 @@ func (g *Grid) WithinAppend(dst []Neighbor, q data.Tuple, eps float64, skip int)
 	kq := g.kern.Bind(q)
 	defer g.ks.flush(kq)
 	bound := g.kern.LEBound(eps)
-	g.visit(q, g.reach(eps), func(idx []int) bool {
+	g.visit(q, g.reach(eps), &bound, false, func(idx []int) bool {
 		for _, i := range idx {
 			if i == skip || g.dead.has(i) {
 				continue
@@ -285,7 +383,7 @@ func (g *Grid) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
 	defer g.ks.flush(kq)
 	bound := g.kern.LEBound(eps)
 	c := 0
-	g.visit(q, g.reach(eps), func(idx []int) bool {
+	g.visit(q, g.reach(eps), &bound, cap > 0, func(idx []int) bool {
 		for _, i := range idx {
 			if i == skip || g.dead.has(i) {
 				continue
@@ -303,9 +401,48 @@ func (g *Grid) CountWithin(q data.Tuple, eps float64, skip, cap int) int {
 	return c
 }
 
+// KNNWithinAppend implements KNNWithinAppender with one gap-pruned walk
+// of the ε cube: q's own cell first, then the rest, each cell skipped
+// once its gap lower bound exceeds the current k-th distance. The heap's
+// root tightens the DistToLE bound as it fills, exactly like the brute
+// k-NN scan, and the heap lives in dst's spare capacity.
+func (g *Grid) KNNWithinAppend(dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor {
+	if k <= 0 {
+		return dst
+	}
+	reach := g.reach(eps)
+	if g.tooWide(reach) {
+		count(g.fallbacks)
+		return g.brute.KNNWithinAppend(dst, q, k, eps, skip)
+	}
+	kq := g.kern.Bind(q)
+	defer g.ks.flush(kq)
+	h := maxHeap{k: k, ns: dst[len(dst):len(dst)]}
+	radius, bound := eps, g.kern.LEBound(eps)
+	g.visit(q, reach, &bound, true, func(idx []int) bool {
+		for _, i := range idx {
+			if i == skip || g.dead.has(i) {
+				continue
+			}
+			count(g.evals)
+			d, within := kq.DistToLE(i, bound)
+			if !within {
+				continue
+			}
+			h.offer(Neighbor{Idx: i, Dist: d})
+			if bd, full := h.bound(); full && bd != radius {
+				radius = bd
+				bound = g.kern.LEBound(bd)
+			}
+		}
+		return true
+	})
+	return h.appendSorted(dst)
+}
+
 // KNN implements Index by expanding the search radius geometrically until k
 // results fit inside it, which keeps the visited cube small for clustered
-// data. The rounds are capped by the tooWide cell-count bound: once the
+// data; each round is one bounded k-NN walk (KNNWithinAppend). The rounds are capped by the tooWide cell-count bound: once the
 // cube would visit more cells than the relation has tuples — after at most
 // O(log n / m) doublings even on pathological distributions — the query
 // degrades to the pre-built Brute scan instead of widening further.
@@ -323,22 +460,17 @@ func (g *Grid) KNN(q data.Tuple, k, skip int) []Neighbor {
 	if k == 0 {
 		return nil
 	}
+	nn := make([]Neighbor, 0, k)
 	for radius := g.cell; ; radius *= 2 {
 		if g.tooWide(g.reach(radius)) {
 			count(g.fallbacks)
 			return g.brute.KNN(q, k, skip)
 		}
-		found := g.Within(q, radius, skip)
-		if len(found) >= k {
-			// Heap-select the k nearest; the candidate set can be far
-			// larger than k when the radius overshoots. Every distance
-			// tie at the k-th position is inside the radius too, so the
-			// deterministic (distance, index) selection sees all of them.
-			h := newMaxHeap(k)
-			for _, nb := range found {
-				h.offer(nb)
-			}
-			return h.sorted()
+		// Once k tuples lie within the radius, they are the k nearest
+		// overall: every tuple outside is farther, and every tie at the
+		// k-th distance is inside the radius too.
+		if nn = g.KNNWithinAppend(nn[:0], q, k, radius, skip); len(nn) >= k {
+			return nn
 		}
 	}
 }

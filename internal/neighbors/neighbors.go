@@ -8,7 +8,7 @@ package neighbors
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -62,6 +62,40 @@ func withinAppend(idx Index, dst []Neighbor, q data.Tuple, eps float64, skip int
 		return wa.WithinAppend(dst, q, eps, skip)
 	}
 	return append(dst, idx.Within(q, eps, skip)...)
+}
+
+// KNNWithinAppender is the optional extension of Index for bounded k-NN:
+// KNNWithinAppend appends to dst the k nearest tuples among those within
+// eps of q, sorted by (distance, index) — exactly KNN(q, k, skip)
+// truncated at eps, fewer than k when the ε-ball is smaller. Callers that
+// only need "the k-th neighbor, if it is within ε" (the saver's δ_η pass)
+// get an answer that never looks past ε. The grid and brute scan
+// implement it natively; the counting and context views forward it.
+type KNNWithinAppender interface {
+	KNNWithinAppend(dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor
+}
+
+// KNNWithin routes a bounded k-NN query through KNNWithinAppend when the
+// index supports it, falling back to KNN clipped at eps otherwise. The
+// result always starts at dst[:0], so callers can reuse one scratch
+// buffer across queries.
+func KNNWithin(idx Index, dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor {
+	return knnWithinAppend(idx, dst[:0], q, k, eps, skip)
+}
+
+// knnWithinAppend appends idx's bounded k-NN answer to dst (the views
+// forward through here so buffers survive the wrapping).
+func knnWithinAppend(idx Index, dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor {
+	if b, ok := idx.(KNNWithinAppender); ok {
+		return b.KNNWithinAppend(dst, q, k, eps, skip)
+	}
+	for _, nb := range idx.KNN(q, k, skip) {
+		if !(nb.Dist <= eps) {
+			break
+		}
+		dst = append(dst, nb)
+	}
+	return dst
 }
 
 // Kerneled is implemented by indexes backed by a compiled distance
@@ -204,10 +238,19 @@ func (b *Brute) KNN(q data.Tuple, k, skip int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
+	return b.KNNWithinAppend(make([]Neighbor, 0, k), q, k, math.Inf(1), skip)
+}
+
+// KNNWithinAppend implements KNNWithinAppender: the KNN scan with eps as
+// its initial early-exit radius.
+func (b *Brute) KNNWithinAppend(dst []Neighbor, q data.Tuple, k int, eps float64, skip int) []Neighbor {
+	if k <= 0 {
+		return dst
+	}
 	kq := b.kern.Bind(q)
 	defer b.ks.flush(kq)
-	h := newMaxHeap(k)
-	bound, leb := math.Inf(1), math.Inf(1)
+	h := maxHeap{k: k, ns: dst[len(dst):len(dst)]}
+	bound, leb := eps, b.kern.LEBound(eps)
 	for i := 0; i < b.n; i++ {
 		if i == skip || b.dead.has(i) {
 			continue
@@ -223,7 +266,7 @@ func (b *Brute) KNN(q data.Tuple, k, skip int) []Neighbor {
 			leb = b.kern.LEBound(bound)
 		}
 	}
-	return h.sorted()
+	return h.appendSorted(dst)
 }
 
 // maxHeap keeps the k smallest neighbors seen so far under the total
@@ -306,12 +349,22 @@ func (h *maxHeap) down(i int) {
 }
 
 func (h *maxHeap) sorted() []Neighbor {
-	out := append([]Neighbor(nil), h.ns...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+	return h.appendSorted(nil)
+}
+
+// appendSorted sorts the heap's contents by (distance, index) in place
+// and appends them to dst. A heap whose storage was carved from dst's
+// spare capacity (ns = dst[len(dst):len(dst)]) is sorted where it lies,
+// so the append copies nothing and allocates nothing.
+func (h *maxHeap) appendSorted(dst []Neighbor) []Neighbor {
+	slices.SortFunc(h.ns, func(a, b Neighbor) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
 		}
-		return out[i].Idx < out[j].Idx
+		return 0
 	})
-	return out
+	return append(dst, h.ns...)
 }

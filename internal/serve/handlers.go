@@ -477,9 +477,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	view := disc.CountingIndex(sess.RelIdx, &qc)
 	for i, t := range tuples {
 		// cap at η: the split only needs "≥ η or not", so the count stops
-		// early exactly like the detection pass would. Member tuples match
-		// their own stored copy, so the cap grows by one and the self-match
-		// is subtracted back out.
+		// early exactly like the detection pass does, and Neighbors is the
+		// same saturated min(|D_ε|, η) that Detection.Counts stores. Member
+		// tuples match their own stored copy, so the cap grows by one and
+		// the self-match is subtracted back out.
 		capN := sess.Cons.Eta
 		if req.Member {
 			capN++

@@ -182,18 +182,23 @@ func (s *Session) resolveRowLocked(li int) (int, error) {
 // insertRowLocked appends t through the kernel and index, seeds its
 // neighbor count from its ε-ball, bumps the counts of the ball members,
 // and syncs inlier membership (the new row's own and any flips).
-// Returns the new physical row, its neighbor count, and the flipped
-// physical rows.
+// Counts follow the saturated Detection.Counts contract, min(|D_ε|, η):
+// a member below η gets +1 and flips if it reaches η, a saturated member
+// stays at η, and the new row stores min(|ball|, η). Returns the new
+// physical row, its ε-ball size, and the flipped physical rows.
 func (s *Session) insertRowLocked(t disc.Tuple) (phys, nbr int, flips []int) {
 	eta := s.Cons.Eta
 	// The ball is queried before the insert, so the new row's count
 	// excludes itself — exactly the |r_ε(t)| detection uses.
 	ball := s.relMut.Within(t, s.Cons.Eps, -1)
 	phys = s.relMut.Insert(t)
-	s.Det.Counts = append(s.Det.Counts, len(ball))
+	s.Det.Counts = append(s.Det.Counts, min(len(ball), eta))
 	s.fullToSaver = append(s.fullToSaver, -1)
 	for _, nb := range ball {
 		j := nb.Idx
+		if s.Det.Counts[j] >= eta {
+			continue // saturated: still at least η
+		}
 		s.Det.Counts[j]++
 		if s.Det.Counts[j] == eta { // crossed up
 			flips = append(flips, j)
@@ -210,8 +215,11 @@ func (s *Session) insertRowLocked(t disc.Tuple) (phys, nbr int, flips []int) {
 }
 
 // deleteRowLocked tombstones physical row phys, decrements its ball's
-// neighbor counts, and syncs inlier membership. Returns the removed
-// tuple, its ball size, and the flipped physical rows.
+// neighbor counts, and syncs inlier membership. A member below η is an
+// exact count: it drops by one and stays an outlier. A saturated member
+// only knew "at least η", so it is recounted, capped at η, on the
+// post-delete index and flips if the recount falls below η. Returns the
+// removed tuple, its ball size, and the flipped physical rows.
 func (s *Session) deleteRowLocked(phys int) (old disc.Tuple, ball int, flips []int) {
 	eta := s.Cons.Eta
 	old = s.Rel.Tuples[phys]
@@ -219,8 +227,12 @@ func (s *Session) deleteRowLocked(phys int) (old disc.Tuple, ball int, flips []i
 	s.relMut.Delete(phys)
 	for _, nb := range nbs {
 		j := nb.Idx
-		s.Det.Counts[j]--
-		if s.Det.Counts[j] == eta-1 { // crossed down
+		if s.Det.Counts[j] < eta {
+			s.Det.Counts[j]--
+			continue
+		}
+		s.Det.Counts[j] = s.relMut.CountWithin(s.Rel.Tuples[j], s.Cons.Eps, j, eta)
+		if s.Det.Counts[j] < eta { // crossed down
 			flips = append(flips, j)
 		}
 	}

@@ -150,7 +150,7 @@ func (e *Engine) Detect(ctx context.Context) (*core.Detection, []ShardStats, err
 		var c neighbors.Counters
 		view := neighbors.WithContext(ctx, neighbors.Counting(idx, &c))
 		for p, gi := range sh.Owned {
-			counts[gi] = view.CountWithin(sh.Rel.Tuples[p], e.cons.Eps, p, 0)
+			counts[gi] = view.CountWithin(sh.Rel.Tuples[p], e.cons.Eps, p, e.cons.Eta)
 		}
 		st.Detect = time.Since(td)
 		st.Stats = statsFromCounters(c)

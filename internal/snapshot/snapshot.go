@@ -116,8 +116,11 @@ type Snapshot struct {
 	Eps float64
 	Eta int
 	Rel *data.Relation
-	// Counts[i] is the detection pass's |r_ε(t_i)| (self excluded); the
-	// inlier/outlier split is re-derived as Counts[i] >= Eta.
+	// Counts[i] is the detection pass's saturated neighbor count
+	// min(|r_ε(t_i)|, Eta), self excluded; the inlier/outlier split is
+	// re-derived as Counts[i] >= Eta. Snapshots written before detection
+	// saturated hold full counts, which restore the same split (the
+	// rehydrate path clamps them to Eta).
 	Counts    []int
 	CreatedAt time.Time
 }
