@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 # overwrites so both snapshots survive in the committed file.
 BENCHOUT ?= BENCH_10.json
 BENCHKEY ?= after
-BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkShardDetect|BenchmarkShardSave|BenchmarkDetectApprox|BenchmarkDetectExactLattice
+BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectApprox|BenchmarkDetectExactLattice
 
 .PHONY: check build vet test race cover fuzz bench bench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift profile
 
@@ -91,7 +91,7 @@ drift:
 # recovery invariants) under -race, plus the durability-layer unit tests
 # (snapshot format, fault sites, robust client).
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos' . ./internal/serve ./internal/shard ./internal/serve/coord
+	$(GO) test -race -count=1 -run 'Chaos' . ./internal/serve ./internal/serve/coord
 	$(GO) test -race -count=1 ./internal/snapshot ./internal/fault ./internal/serve/client
 
 # Each fuzz target needs its own invocation: go test allows one -fuzz

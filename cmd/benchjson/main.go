@@ -28,6 +28,9 @@ import (
 type Bench struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran with, taken from that
+	// suffix; 0 when the line had none (go test omits it at GOMAXPROCS=1).
+	Procs int `json:"procs,omitempty"`
 	// Pkg is the package the benchmark ran in (from the pkg: header).
 	Pkg string `json:"pkg,omitempty"`
 	// Iters is the b.N the reported averages were taken over.
@@ -56,7 +59,9 @@ type File struct {
 	Runs   map[string]*Run `json:"runs"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+// benchLine splits a result line into name, optional -GOMAXPROCS suffix,
+// iteration count and the "<value> <unit>" tail.
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s]*?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	var (
@@ -138,13 +143,18 @@ func main() {
 var curPkg string
 
 func parseBench(m []string) (Bench, error) {
-	iters, err := strconv.ParseInt(m[2], 10, 64)
+	iters, err := strconv.ParseInt(m[3], 10, 64)
 	if err != nil {
 		return Bench{}, err
 	}
 	b := Bench{Name: m[1], Iters: iters}
+	if m[2] != "" {
+		if b.Procs, err = strconv.Atoi(m[2]); err != nil {
+			return Bench{}, err
+		}
+	}
 	// The tail is a sequence of "<value> <unit>" pairs separated by tabs.
-	fields := strings.Fields(m[3])
+	fields := strings.Fields(m[4])
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -42,8 +42,8 @@
 // API as a scatter/gather front over a fleet of worker discserve
 // instances: sessions are consistent-hashed onto -replicas workers,
 // detect/repair requests scatter in chunks across the owners with
-// failover between replicas, and /varz and /metrics report the merged
-// per-shard stats; see docs/SERVING.md "Sharding & coordinator mode".
+// failover between replicas, and /varz and /metrics report per-owner and
+// merged stats; see docs/SERVING.md "Sharding & coordinator mode".
 package main
 
 import (

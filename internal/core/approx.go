@@ -183,61 +183,6 @@ func DetectApproxContext(ctx context.Context, rel *data.Relation, cons Constrain
 	return det, nil
 }
 
-// ApproxNeighborCounts classifies only the given tuple positions,
-// returning one saturated count per position (the Detection.Counts
-// contract) plus the merged index-traffic stats. It is the sharded
-// engine's entry point: a shard owns a subset of positions but probes its
-// whole owned+halo index, so the counts equal what a global approximate
-// pass would produce for those tuples. workers ≤ 1 runs inline.
-func ApproxNeighborCounts(ctx context.Context, rel *data.Relation, cons Constraints, idx neighbors.Index, ap ApproxOptions, positions []int, workers int) ([]int, obs.SearchStats, error) {
-	var st obs.SearchStats
-	if err := cons.Validate(); err != nil {
-		return nil, st, err
-	}
-	ap = ap.withDefaults()
-	if idx == nil {
-		idx = neighbors.Build(rel, cons.Eps)
-	}
-	counts := make([]int, len(positions))
-	n := rel.N()
-	if ap.Off || n < ap.MinN || ap.sampleSize(n) >= n {
-		// Too small to sample: exact counts, same contract.
-		var c neighbors.Counters
-		view := neighbors.WithContext(ctx, neighbors.Counting(idx, &c))
-		for k, i := range positions {
-			counts[k] = view.CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
-		}
-		addCounters(&st, c)
-		if err := ctx.Err(); err != nil {
-			return nil, st, fmt.Errorf("core: approx neighbor counts: %w", err)
-		}
-		return counts, st, nil
-	}
-	p, err := newApproxPlan(rel, cons, idx, ap)
-	if err != nil {
-		return nil, st, err
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(positions) {
-		workers = len(positions)
-	}
-	ws := make([]approxWorker, max(workers, 1))
-	for w := range ws {
-		ws[w].bind(ctx, p)
-	}
-	errs := par.ForEachWorker(ctx, len(positions), workers, func(w, k int) error {
-		counts[k] = p.classify(&ws[w], positions[k])
-		return nil
-	})
-	p.merge(&st, ws)
-	if err := par.FirstErr(errs); err != nil {
-		return nil, st, fmt.Errorf("core: approx neighbor counts: %w", err)
-	}
-	return counts, st, nil
-}
-
 // approxPlan is the shared read-only state of one approximate pass: the
 // sample, its sub-index, and the precomputed certification thresholds.
 type approxPlan struct {

@@ -155,52 +155,6 @@ func TestDetectApproxFallbacks(t *testing.T) {
 	}
 }
 
-// TestApproxNeighborCounts checks the positional entry point (the sharded
-// engine's contract): classifying a subset of positions against the full
-// index returns exactly the counts the whole-relation pass assigns those
-// tuples, and small relations take the exact-fallback branch.
-func TestApproxNeighborCounts(t *testing.T) {
-	ctx := context.Background()
-	rel := approxTestRel(t, metric.L2)
-	idx := neighbors.NewGrid(rel, 1)
-	ap := ApproxOptions{Confidence: 0.999, MinN: 256, Seed: 1}
-	det, err := DetectApproxContext(ctx, rel, approxTestCons, idx, ap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	positions := []int{0, 17, 999, 1500, rel.N() - 1}
-	counts, st, err := ApproxNeighborCounts(ctx, rel, approxTestCons, idx, ap, positions, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, i := range positions {
-		if counts[k] != det.Counts[i] {
-			t.Fatalf("position %d: count %d differs from the whole-relation pass %d", i, counts[k], det.Counts[i])
-		}
-	}
-	if st.ApproxSampled+st.ApproxRefined != int64(len(positions)) {
-		t.Fatalf("positional pass classified %d+%d tuples, want %d",
-			st.ApproxSampled, st.ApproxRefined, len(positions))
-	}
-
-	// Under MinN the positional pass answers exactly.
-	small := rel.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	sidx := neighbors.NewBrute(small)
-	counts, st, err = ApproxNeighborCounts(ctx, small, approxTestCons, sidx, ap, []int{0, 7}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ApproxSampled != 0 || st.ApproxRefined != 0 {
-		t.Fatal("small-relation positional pass should fall back to exact counting")
-	}
-	for k, i := range []int{0, 7} {
-		want := sidx.CountWithin(small.Tuples[i], approxTestCons.Eps, i, 0)
-		if counts[k] != want {
-			t.Fatalf("small-relation position %d: count %d, want exact %d", i, counts[k], want)
-		}
-	}
-}
-
 // TestApproxSampledProbeAllocs guards the hot path: classifying a clear
 // interior inlier from the sampled probe must not allocate — the probe
 // rides the grid's stack buffers and the certificate math is pure.

@@ -50,13 +50,13 @@ const (
 	// BatchDispatch fires inside the batcher's per-request worker, before
 	// the save runs.
 	BatchDispatch = "batch.dispatch"
-	// ShardDispatch fires once per shard (engine) or per scattered chunk
-	// (coordinator) before its work runs: an error kills that shard's leg
-	// of the fan-out, a sleep delays it mid-scatter — the two degradation
-	// modes the shard chaos suite drives.
+	// ShardDispatch fires once per chunk the coordinator scatters (and
+	// once per proxied save) before the chunk goes to a worker: an error
+	// loses that chunk, a sleep delays it mid-scatter — the two
+	// degradation modes the coordinator chaos tests drive.
 	ShardDispatch = "shard.dispatch"
-	// ShardMerge fires after the per-shard legs return, before their
-	// results are merged into the global answer.
+	// ShardMerge fires after the coordinator's chunk answers return,
+	// before they are merged into one response.
 	ShardMerge = "shard.merge"
 )
 

@@ -1,21 +1,18 @@
 package neighbors
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
 	"repro/internal/data"
 )
 
-// CellKeyer is the grid's cell-keying kernel factored out as a standalone
-// component, so the spatial partitioner (internal/shard) and the Grid index
-// bucket tuples through one shared path: the same scaled coordinate
-// function, the same bijective uint64 key packing with its build-time range
-// guard, and the same fixed-width string fallback for relations the packed
-// layout cannot address. Anything keyed by a CellKeyer agrees cell-for-cell
-// with a Grid built over the same relation and cell size — the property the
-// ε-halo partition relies on.
+// CellKeyer is the grid's cell-keying kernel: the scaled coordinate
+// function, the bijective uint64 key packing with its build-time range
+// guard, and the fixed-width string fallback for relations the packed
+// layout cannot address. The grid buckets at build time and probes at
+// query time through this one path, so the two can never disagree on
+// which cell a tuple lands in.
 //
 // A CellKeyer is immutable after construction and safe for concurrent use.
 type CellKeyer struct {
@@ -28,21 +25,6 @@ type CellKeyer struct {
 	minC   []int
 	maxC   []int
 	shift  []uint
-}
-
-// NewCellKeyer builds a keyer over r with the given cell size (clamped to a
-// small positive value, exactly like NewGrid). It returns an error on
-// schemas with text attributes — cell coordinates are defined only for
-// numeric values — where NewGrid would panic, so callers that accept
-// arbitrary schemas (the partitioner) can degrade instead of crashing.
-func NewCellKeyer(r *data.Relation, cell float64) (*CellKeyer, error) {
-	for _, a := range r.Schema.Attrs {
-		if a.Kind != data.Numeric {
-			return nil, fmt.Errorf("neighbors: cell keying requires an all-numeric schema (attribute %q is text)", a.Name)
-		}
-	}
-	k, _ := newCellKeyer(r, cell)
-	return k, nil
 }
 
 // newCellKeyer sizes the key layout in one pass over the coordinates and
@@ -92,16 +74,6 @@ func newCellKeyer(r *data.Relation, cell float64) (*CellKeyer, []int) {
 	return k, coords
 }
 
-// M returns the keyed dimensionality.
-func (k *CellKeyer) M() int { return k.m }
-
-// Cell returns the (clamped) cell size.
-func (k *CellKeyer) Cell() float64 { return k.cell }
-
-// Packed reports whether in-range cells are addressed by the bijective
-// uint64 layout (false: the fixed-width string fallback keys every cell).
-func (k *CellKeyer) Packed() bool { return k.packed }
-
 // Coord returns the scaled grid coordinate of attribute a of tuple t; cells
 // must bucket by the same scaled units the distance kernel uses.
 func (k *CellKeyer) Coord(t data.Tuple, a int) int {
@@ -116,19 +88,6 @@ func (k *CellKeyer) scaled(t data.Tuple, a int) float64 {
 		v /= s
 	}
 	return v
-}
-
-// Coords fills dst (grown as needed) with every coordinate of t and returns
-// it.
-func (k *CellKeyer) Coords(dst []int, t data.Tuple) []int {
-	if cap(dst) < k.m {
-		dst = make([]int, k.m)
-	}
-	dst = dst[:k.m]
-	for a := 0; a < k.m; a++ {
-		dst[a] = k.Coord(t, a)
-	}
-	return dst
 }
 
 // PackKey packs in-range cell coordinates into the bijective uint64 key.
@@ -159,46 +118,22 @@ func (k *CellKeyer) StringKey(b []byte, c []int) []byte {
 	return b
 }
 
+// appendCoord appends the fixed-width little-endian encoding of one grid
+// coordinate; fixed-width string keys make cheap map keys without a 64-bit
+// hash collision analysis (the fallback layout for grids the packed keys
+// cannot address).
+func appendCoord(b []byte, c int) []byte {
+	u := uint64(int64(c))
+	for s := 0; s < 64; s += 8 {
+		b = append(b, byte(u>>uint(s)))
+	}
+	return b
+}
+
 // Reach converts a query radius into the per-dimension cell reach of the
 // cube that covers every tuple within eps of a cell's tuples: any pair of
 // tuples within eps in aggregate is within eps per scaled attribute, hence
 // within ceil(eps/cell)+1 cells per dimension.
 func (k *CellKeyer) Reach(eps float64) int {
 	return int(math.Ceil(eps/k.cell)) + 1
-}
-
-// CellKey is the comparable identity of one grid cell: the packed uint64
-// when the layout addresses the cell, the fixed-width string otherwise.
-// Keys from the same CellKeyer are equal exactly when the cells are equal.
-type CellKey struct {
-	packed bool
-	u      uint64
-	s      string
-}
-
-// CellKeyOf returns the cell key of tuple t under k — the exported form of
-// the keying path NewGrid buckets with. It is total: tuples whose
-// coordinates fall outside the packed layout's build-time ranges get the
-// string-fallback key, so callers can key probe tuples that were not part
-// of the build.
-func CellKeyOf(k *CellKeyer, t data.Tuple) CellKey {
-	var cA [gridStackDims]int
-	var c []int
-	if k.m <= gridStackDims {
-		c = cA[:k.m]
-	} else {
-		c = make([]int, k.m)
-	}
-	for a := 0; a < k.m; a++ {
-		c[a] = k.Coord(t, a)
-	}
-	return k.KeyOfCoords(c)
-}
-
-// KeyOfCoords is CellKeyOf for an already-computed coordinate vector.
-func (k *CellKeyer) KeyOfCoords(c []int) CellKey {
-	if u, ok := k.PackKey(c); ok {
-		return CellKey{packed: true, u: u}
-	}
-	return CellKey{s: string(k.StringKey(make([]byte, 0, k.m*8), c))}
 }

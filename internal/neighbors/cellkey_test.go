@@ -7,11 +7,11 @@ import (
 	"repro/internal/data"
 )
 
-// TestCellKeyerCollisionSafety mirrors TestGridPackedKeyCollisionSafety for
-// the exported keyer: distinct in-range cells map to distinct packed keys,
-// out-of-range probes are rejected before key construction, and CellKeyOf
-// stays total (and collision-free) by switching those probes to the string
-// fallback.
+// TestCellKeyerCollisionSafety pins both key layouts of the grid's keyer,
+// through the calls the grid makes: distinct in-range cells map to distinct
+// packed keys and distinct string keys, out-of-range probes are rejected by
+// PackKey before key construction, and the string fallback stays total and
+// collision-free for those probes.
 func TestCellKeyerCollisionSafety(t *testing.T) {
 	r := data.NewRelation(data.NewNumericSchema("x", "y", "z"))
 	rng := rand.New(rand.NewSource(23))
@@ -23,18 +23,15 @@ func TestCellKeyerCollisionSafety(t *testing.T) {
 			data.Num(rng.Float64()*40 - 20),
 		})
 	}
-	k, err := NewCellKeyer(r, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !k.Packed() {
+	k := NewGrid(r, 1.5).key
+	if !k.packed {
 		t.Fatal("keyer over a compact range should use packed keys")
 	}
 
 	// Exhaustive bijectivity over the in-range coordinate box, through both
-	// PackKey and the total KeyOfCoords form.
+	// PackKey and StringKey.
 	seenU := make(map[uint64][3]int)
-	seenK := make(map[CellKey][3]int)
+	seenS := make(map[string][3]int)
 	c := make([]int, 3)
 	for c[0] = k.minC[0]; c[0] <= k.maxC[0]; c[0]++ {
 		for c[1] = k.minC[1]; c[1] <= k.maxC[1]; c[1]++ {
@@ -47,17 +44,17 @@ func TestCellKeyerCollisionSafety(t *testing.T) {
 					t.Fatalf("cells %v and %v collide on key %#x", prev, c, key)
 				}
 				seenU[key] = [3]int{c[0], c[1], c[2]}
-				ck := k.KeyOfCoords(c)
-				if prev, dup := seenK[ck]; dup {
-					t.Fatalf("cells %v and %v collide on CellKey %+v", prev, c, ck)
+				sk := string(k.StringKey(nil, c))
+				if prev, dup := seenS[sk]; dup {
+					t.Fatalf("cells %v and %v collide on string key %q", prev, c, sk)
 				}
-				seenK[ck] = [3]int{c[0], c[1], c[2]}
+				seenS[sk] = [3]int{c[0], c[1], c[2]}
 			}
 		}
 	}
 
-	// Out-of-range probes: PackKey must reject them, KeyOfCoords must fall
-	// back to a string key that cannot alias any packed in-range key.
+	// Out-of-range probes: PackKey must reject them, and their string key
+	// must not alias any in-range cell's.
 	for trial := 0; trial < 200; trial++ {
 		for a := range c {
 			c[a] = k.minC[a] + rng.Intn(k.maxC[a]-k.minC[a]+1)
@@ -71,107 +68,8 @@ func TestCellKeyerCollisionSafety(t *testing.T) {
 		if _, ok := k.PackKey(c); ok {
 			t.Fatalf("out-of-range cell %v accepted", c)
 		}
-		ck := k.KeyOfCoords(c)
-		if ck.packed {
-			t.Fatalf("out-of-range cell %v produced a packed CellKey", c)
-		}
-		if prev, dup := seenK[ck]; dup {
+		if prev, dup := seenS[string(k.StringKey(nil, c))]; dup {
 			t.Fatalf("out-of-range cell %v aliases in-range cell %v", c, prev)
 		}
-	}
-}
-
-// TestCellKeyerAgreesWithGrid pins the shared-path contract the ε-halo
-// partitioner relies on: CellKeyOf groups tuples into exactly the cells a
-// Grid built over the same relation and cell size buckets them into.
-func TestCellKeyerAgreesWithGrid(t *testing.T) {
-	check := func(t *testing.T, r *data.Relation, cell float64) {
-		t.Helper()
-		k, err := NewCellKeyer(r, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := NewGrid(r, cell)
-		if k.Packed() != g.packed {
-			t.Fatalf("keyer packed=%v, grid packed=%v", k.Packed(), g.packed)
-		}
-		byKey := make(map[CellKey][]int)
-		for i, tp := range r.Tuples {
-			ck := CellKeyOf(k, tp)
-			byKey[ck] = append(byKey[ck], i)
-		}
-		nCells := len(g.cells) + len(g.cellsStr)
-		if len(byKey) != nCells {
-			t.Fatalf("keyer found %d cells, grid has %d", len(byKey), nCells)
-		}
-		total := 0
-		for ck, rows := range byKey {
-			var gridRows []int
-			if ck.packed {
-				gridRows = g.cells[ck.u]
-			} else {
-				gridRows = g.cellsStr[ck.s]
-			}
-			if len(gridRows) != len(rows) {
-				t.Fatalf("cell %+v: keyer has rows %v, grid has %v", ck, rows, gridRows)
-			}
-			for j := range rows {
-				if rows[j] != gridRows[j] {
-					t.Fatalf("cell %+v: keyer has rows %v, grid has %v", ck, rows, gridRows)
-				}
-			}
-			total += len(rows)
-		}
-		if total != r.N() {
-			t.Fatalf("keyer covered %d of %d rows", total, r.N())
-		}
-	}
-
-	t.Run("packed", func(t *testing.T) {
-		r := data.NewRelation(data.NewNumericSchema("x", "y", "z"))
-		rng := rand.New(rand.NewSource(29))
-		for i := 0; i < 250; i++ {
-			r.Append(data.Tuple{
-				data.Num(rng.Float64()*30 - 15),
-				data.Num(rng.Float64()*30 - 15),
-				data.Num(rng.Float64()*30 - 15),
-			})
-		}
-		check(t, r, 1.5)
-	})
-
-	t.Run("scaled", func(t *testing.T) {
-		// Attribute scales divide into the coordinate, so keyer and grid
-		// must apply them identically.
-		s := data.NewNumericSchema("x", "y")
-		s.Attrs[0].Scale = 3
-		s.Attrs[1].Scale = 0.25
-		r := data.NewRelation(s)
-		rng := rand.New(rand.NewSource(31))
-		for i := 0; i < 200; i++ {
-			r.Append(data.Tuple{
-				data.Num(rng.Float64()*50 - 25),
-				data.Num(rng.Float64()*4 - 2),
-			})
-		}
-		check(t, r, 1)
-	})
-
-	t.Run("string-fallback", func(t *testing.T) {
-		r := randomRelation(150, gridStackDims+1, 37)
-		check(t, r, 2)
-	})
-}
-
-// TestCellKeyerRejectsText pins the degradable error path NewGrid's panic
-// does not offer.
-func TestCellKeyerRejectsText(t *testing.T) {
-	s := &data.Schema{Attrs: []data.Attribute{
-		{Name: "x", Kind: data.Numeric},
-		{Name: "city", Kind: data.Text},
-	}}
-	r := data.NewRelation(s)
-	if _, err := NewCellKeyer(r, 1); err == nil {
-		t.Fatal("NewCellKeyer accepted a text attribute")
 	}
 }

@@ -30,9 +30,8 @@ type Grid struct {
 	r    *data.Relation
 	kern *data.Kernel
 	// key owns the cell-keying layout (coordinates, packed bit fields,
-	// reach); cell/m/packed are hot-path copies of its fields. The keyer is
-	// also what the spatial partitioner shares (see CellKeyOf), so grid and
-	// partitioner can never disagree on which cell a tuple lands in.
+	// string fallback, reach); cell/m/packed are hot-path copies of its
+	// fields.
 	key      *CellKeyer
 	cell     float64
 	m        int
@@ -94,10 +93,7 @@ func newGridKernel(r *data.Relation, kern *data.Kernel, cell float64) *Grid {
 		g.cellsStr = make(map[string][]int)
 		kb := make([]byte, 0, g.m*8)
 		for i := 0; i < n; i++ {
-			kb = kb[:0]
-			for a := 0; a < g.m; a++ {
-				kb = appendCoord(kb, coords[i*g.m+a])
-			}
+			kb = g.key.StringKey(kb[:0], coords[i*g.m:(i+1)*g.m])
 			k := string(kb) // insertion must materialize the key string
 			g.cellsStr[k] = append(g.cellsStr[k], i)
 		}
@@ -142,10 +138,11 @@ func (g *Grid) insert(i int) bool {
 		}
 		g.cells[key] = append(g.cells[key], i)
 	} else {
-		kb := make([]byte, 0, g.m*8)
+		c := make([]int, g.m)
 		for a := 0; a < g.m; a++ {
-			kb = appendCoord(kb, g.coord(t, a))
+			c[a] = g.coord(t, a)
 		}
+		kb := g.key.StringKey(make([]byte, 0, g.m*8), c)
 		g.cellsStr[string(kb)] = append(g.cellsStr[string(kb)], i)
 	}
 	g.brute.n = i + 1
@@ -161,18 +158,6 @@ func (g *Grid) Kernel() *data.Kernel { return g.kern }
 // coord returns the scaled grid coordinate of attribute a of tuple t; the
 // grid must bucket by the same scaled units the distance uses.
 func (g *Grid) coord(t data.Tuple, a int) int { return g.key.Coord(t, a) }
-
-// appendCoord appends the fixed-width little-endian encoding of one grid
-// coordinate; fixed-width string keys make cheap map keys without a 64-bit
-// hash collision analysis (the fallback layout for grids the packed keys
-// cannot address).
-func appendCoord(b []byte, c int) []byte {
-	u := uint64(int64(c))
-	for s := 0; s < 64; s += 8 {
-		b = append(b, byte(u>>uint(s)))
-	}
-	return b
-}
 
 // gapSlack is the relative slack of the cell-gap lower bound (see
 // visit): 2^-40, four thousand times the unit roundoff, so it covers the
@@ -320,11 +305,7 @@ func (g *Grid) cellAt(c []int, kb []byte) ([]int, bool) {
 		idx, ok := g.cells[key]
 		return idx, ok
 	}
-	b := kb[:0]
-	for a := 0; a < g.m; a++ {
-		b = appendCoord(b, c[a])
-	}
-	idx, ok := g.cellsStr[string(b)]
+	idx, ok := g.cellsStr[string(g.key.StringKey(kb[:0], c))]
 	return idx, ok
 }
 

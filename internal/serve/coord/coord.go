@@ -1,6 +1,6 @@
 // Package coord is discserve's coordinator mode: a thin scatter/gather
 // front over a fleet of worker discserve instances. Sessions are placed
-// onto workers by consistent hashing (shard.Ring) with a configurable
+// onto workers by consistent hashing (ring.go) with a configurable
 // replication factor; uploads fan the raw request body out to every owner,
 // detect and repair requests are split into contiguous tuple chunks
 // scattered across the owners, and the answers are merged back into the
@@ -35,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
-	"repro/internal/shard"
 )
 
 // Config tunes the coordinator. Workers is required; the zero value of
@@ -48,9 +47,6 @@ type Config struct {
 	// min(2, len(Workers))). Uploads fan out to all owners; chunked
 	// requests scatter across them and fail over between them.
 	Replicas int
-	// VNodes is the consistent-hash ring's virtual-node count per worker
-	// (default 64).
-	VNodes int
 	// RequestTimeout bounds each worker call attempt (default 10s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps proxied request bodies (default 64 MiB).
@@ -68,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas > len(c.Workers) {
 		c.Replicas = len(c.Workers)
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -111,7 +104,7 @@ type placement struct {
 type Coordinator struct {
 	cfg     Config
 	log     *slog.Logger
-	ring    *shard.Ring
+	ring    *ring
 	workers map[string]*worker
 	handler http.Handler
 	start   time.Time
@@ -133,7 +126,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:        cfg,
 		log:        obs.Logger(cfg.Logger),
-		ring:       shard.NewRing(cfg.Workers, cfg.VNodes),
+		ring:       newRing(cfg.Workers),
 		workers:    make(map[string]*worker, len(cfg.Workers)),
 		start:      time.Now(),
 		placements: make(map[string]*placement),
@@ -202,7 +195,7 @@ func (c *Coordinator) wrap(next http.Handler) http.Handler {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &serve.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -210,42 +203,18 @@ func (c *Coordinator) wrap(next http.Handler) http.Handler {
 				c.log.Error("coord: panic in handler", "request_id", id,
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-				if sw.status == 0 {
+				if sw.Status == 0 {
 					sw.Header().Set("Content-Type", "application/json")
 					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(errorJSON{Error: "internal server error", RequestID: id})
+					json.NewEncoder(sw).Encode(serve.ErrorJSON{Error: "internal server error", RequestID: id})
 				}
 			}
 			c.log.Info("coord: request", "request_id", id,
 				"method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "dur", time.Since(start).Round(time.Microsecond))
+				"status", sw.Status, "dur", time.Since(start).Round(time.Microsecond))
 		}()
 		next.ServeHTTP(sw, r)
 	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-type errorJSON struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
 }
 
 // --- placement ---
@@ -281,7 +250,7 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gid := "g-" + obs.NewRequestID()
-	owners := c.ring.Owners(gid, c.cfg.Replicas)
+	owners := c.ring.owners(gid, c.cfg.Replicas)
 	contentType := r.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/json"
@@ -486,8 +455,7 @@ type chunkError struct {
 }
 
 // chunkRanges splits n tuples into one contiguous chunk per owner
-// (at most n chunks). Bounds follow the same balanced formula as the
-// shard partitioner: chunk k is [k*n/c, (k+1)*n/c).
+// (at most n chunks), balanced: chunk k is [k*n/c, (k+1)*n/c).
 func chunkRanges(n, owners int) [][2]int {
 	chunks := owners
 	if chunks > n {
@@ -905,20 +873,15 @@ func (c *Coordinator) refuseDraining(w http.ResponseWriter, r *http.Request) boo
 	return true
 }
 
+// decodeJSON decodes one request body with the worker's hardening (see
+// serve.DecodeJSON), writing the error answer itself; it reports whether
+// the handler should continue.
 func (c *Coordinator) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		c.writeErr(w, r, status, fmt.Errorf("coord: decoding request: %w", err))
-		return false
+	status, err := serve.DecodeJSON(w, r, c.cfg.MaxBodyBytes, v)
+	if err != nil {
+		c.writeErr(w, r, status, fmt.Errorf("coord: %w", err))
 	}
-	return true
+	return err == nil
 }
 
 func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -933,5 +896,5 @@ func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (c *Coordinator) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
 	id := w.Header().Get("X-Request-ID")
-	c.writeJSON(w, status, errorJSON{Error: err.Error(), RequestID: id})
+	c.writeJSON(w, status, serve.ErrorJSON{Error: err.Error(), RequestID: id})
 }

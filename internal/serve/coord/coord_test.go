@@ -567,6 +567,30 @@ func TestCoordinatorRejections(t *testing.T) {
 		}
 	}
 
+	// Trailing data after the JSON value is a 400 here exactly as on a
+	// worker; a coordinator must not accept a body its workers would refuse.
+	csv, _, _ := testDataset(t)
+	info, err := cl.CreateDatasetCSV(ctx, "rejections", csv, testParams)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for _, tc := range []struct{ endpoint, body string }{
+		{"detect", `{"tuples":[[0.2,0.2]]} trailing-garbage`},
+		{"repair", `{"tuples":[[20,20]]} trailing-garbage`},
+		{"save", `{"tuple":[20,20]} trailing-garbage`},
+		{"repair", `{"tuples":[[20,20]]} {"tuples":[[20,20]]}`},
+	} {
+		resp, err := http.Post(cts.URL+"/v1/datasets/"+info.ID+"/"+tc.endpoint, "application/json",
+			strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with trailing data %q: status %d, want 400", tc.endpoint, tc.body, resp.StatusCode)
+		}
+	}
+
 	if err := co.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}

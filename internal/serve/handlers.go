@@ -299,12 +299,6 @@ type repairResponse struct {
 	Exhausted   int              `json:"exhausted"`
 }
 
-// errorJSON is the uniform error body.
-type errorJSON struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // --- handlers ---
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -823,31 +817,14 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---
 
-// decodeJSON reads one JSON request body into v with the full hardening
-// set: the body is capped at MaxBodyBytes (413, not a mid-stream decode
-// error), unknown fields are rejected (a typoed "kapa" should fail loudly,
-// not silently use the default), and trailing garbage after the value is a
-// 400. It writes the error response itself and reports whether the handler
-// should continue.
+// decodeJSON decodes one hardened request body (see DecodeJSON), writing
+// the error answer itself; it reports whether the handler should continue.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil && dec.More() {
-		err = errors.New("trailing data after JSON value")
+	status, err := DecodeJSON(w, r, s.cfg.MaxBodyBytes, v)
+	if err != nil {
+		s.writeErr(w, r, status, fmt.Errorf("serve: %w", err))
 	}
-	if err == nil {
-		return true
-	}
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("serve: request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return false
-	}
-	s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err))
-	return false
+	return err == nil
 }
 
 // requestCtx derives the per-request save deadline: the client's timeout_ms
@@ -900,7 +877,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeJSON(w, status, errorJSON{Error: err.Error(), RequestID: requestIDFrom(r.Context())})
+	s.writeJSON(w, status, ErrorJSON{Error: err.Error(), RequestID: requestIDFrom(r.Context())})
 }
 
 // parseTuple decodes one JSON tuple ([1.5, "abc", ...]) against the

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -23,24 +25,57 @@ func requestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// statusWriter captures the status code for the request log.
-type statusWriter struct {
+// StatusWriter captures the status code for the request log. The worker
+// and coordinator middlewares both wrap their ResponseWriter in one.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.Status == 0 {
+		w.Status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+func (w *StatusWriter) Write(p []byte) (int, error) {
+	if w.Status == 0 {
+		w.Status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(p)
+}
+
+// ErrorJSON is the uniform error body of every error answer, worker and
+// coordinator alike.
+type ErrorJSON struct {
+	Error     string `json:"error"`
+	RequestID string `json:"request_id,omitempty"`
+}
+
+// DecodeJSON reads one JSON request body into v with the full hardening
+// set: the body is capped at limit bytes (413, not a mid-stream decode
+// error), unknown fields are rejected (a typoed "kapa" should fail loudly,
+// not silently use the default), and anything but whitespace after the
+// value is a 400. On failure it returns the status to answer with and an
+// unprefixed error; each server writes them through its own writeErr.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after JSON value")
+		}
+	}
+	if err == nil {
+		return 0, nil
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit)
+	}
+	return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
 }
 
 // endpointOf classifies a request path onto the endpoint-stats key the
@@ -88,7 +123,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		}
 		r = r.WithContext(ctx)
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -96,12 +131,12 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				s.log.Error("serve: panic in handler", "request_id", id,
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-				if sw.status == 0 {
+				if sw.Status == 0 {
 					// Headers not sent yet: answer a proper 500. Otherwise
 					// the response is already on the wire; just cut it off.
 					sw.Header().Set("Content-Type", "application/json")
 					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(errorJSON{
+					json.NewEncoder(sw).Encode(ErrorJSON{
 						Error:     "internal server error",
 						RequestID: id,
 					})
@@ -116,13 +151,13 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				if thr := s.cfg.SlowRequest; thr > 0 && dur >= thr {
 					s.log.Warn("serve: slow request", "request_id", id,
 						"method", r.Method, "path", r.URL.Path,
-						"status", sw.status, "dur", dur.Round(time.Microsecond),
+						"status", sw.Status, "dur", dur.Round(time.Microsecond),
 						"spans", tr.Breakdown())
 				}
 			}
 			s.log.Info("serve: request", "request_id", id,
 				"method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "dur", dur.Round(time.Microsecond))
+				"status", sw.Status, "dur", dur.Round(time.Microsecond))
 		}()
 		next.ServeHTTP(sw, r)
 	})

@@ -312,6 +312,12 @@ func TestJSONHardening(t *testing.T) {
 	if got := raw("POST", "/v1/datasets/"+info.ID+"/save", `{"tuple": }`, "application/json"); got != http.StatusBadRequest {
 		t.Errorf("save malformed: status %d, want 400", got)
 	}
+	// A stray closing bracket after the value is trailing data too.
+	for _, body := range []string{`{"tuples": [[0.0, 0.0]]} }`, `{"tuples": [[0.0, 0.0]]}]`} {
+		if got := raw("POST", "/v1/datasets/"+info.ID+"/detect", body, "application/json"); got != http.StatusBadRequest {
+			t.Errorf("detect %q: status %d, want 400", body, got)
+		}
+	}
 }
 
 // uploadSessionSmall uploads a dataset that fits under a tight MaxBodyBytes.

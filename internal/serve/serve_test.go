@@ -483,7 +483,7 @@ func TestRequestErrors(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d; body %s", tc.name, w.Code, tc.want, w.Body.String())
 		}
 		if tc.want >= 400 {
-			e := decode[errorJSON](t, w)
+			e := decode[ErrorJSON](t, w)
 			if e.Error == "" {
 				t.Errorf("%s: error body missing message: %s", tc.name, w.Body.String())
 			}
@@ -573,7 +573,7 @@ func TestPanicRecovery(t *testing.T) {
 	if w.Code != http.StatusInternalServerError {
 		t.Errorf("panic status = %d, want 500", w.Code)
 	}
-	e := decode[errorJSON](t, w)
+	e := decode[ErrorJSON](t, w)
 	if e.Error == "" || e.RequestID == "" {
 		t.Errorf("panic body = %s, want error + request_id", w.Body.String())
 	}
