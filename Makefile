@@ -10,9 +10,9 @@ BENCHOUT ?= BENCH_10.json
 BENCHKEY ?= after
 BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectApprox|BenchmarkDetectExactLattice
 
-.PHONY: check build vet test race cover fuzz bench bench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift profile
+.PHONY: check build vet test race cover fuzz bench bench-check perfbench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift profile
 
-check: build vet race cover bench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift fuzz
+check: build vet race cover bench-check perfbench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift fuzz
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ profile:
 # full measurement run.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > /dev/null
+
+# The end-to-end benchmark is its own module (perfbench/go.mod replaces
+# repro with ../), so the root `go build ./...` never compiles it. Vet and
+# test it here so a change to the exported types it builds against fails
+# the check instead of the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Scripted serving round-trip: build discserve, drive a real listener
 # through upload -> detect -> save -> repair -> induced 429 -> SIGTERM

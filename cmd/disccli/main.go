@@ -43,6 +43,7 @@ import (
 
 	disc "repro"
 	"repro/internal/obs"
+	"repro/internal/serve/api"
 	"repro/internal/serve/client"
 )
 
@@ -106,7 +107,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "disccli: request %s %s %s\n", id, method, path)
 			},
 		})
-		p := client.Params{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed,
+		p := api.BuildParams{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed,
 			Approx: *approx, ApproxConfidence: *approxConf}
 		repaired, rerr := runRemote(ctx, cl, filepath.Base(*in), string(raw), rel, p, *timeout, *report, *remoteCommit)
 		switch {

@@ -84,15 +84,11 @@ type ApproxOptions struct {
 	// sublinear but only statistically correct (the accuracy tests use
 	// this).
 	NoRefine bool
-	// Off disables approximation even when Confidence is set; it exists
-	// so a zero-value-is-off toggle can be threaded through config
-	// layers that always populate Confidence.
-	Off bool
 }
 
 // Enabled reports whether these options request the approximate path
-// (the Options.ApproxDetect contract: Confidence set and not Off).
-func (ap ApproxOptions) Enabled() bool { return ap.Confidence > 0 && !ap.Off }
+// (the Options.ApproxDetect contract: Confidence set).
+func (ap ApproxOptions) Enabled() bool { return ap.Confidence > 0 }
 
 // withDefaults resolves the zero values of the explicit entry points.
 func (ap ApproxOptions) withDefaults() ApproxOptions {
@@ -142,7 +138,7 @@ func DetectApproxContext(ctx context.Context, rel *data.Relation, cons Constrain
 	}
 	ap = ap.withDefaults()
 	n := rel.N()
-	if ap.Off || n < ap.MinN || ap.sampleSize(n) >= n {
+	if n < ap.MinN || ap.sampleSize(n) >= n {
 		return DetectContext(ctx, rel, cons, idx)
 	}
 	start := time.Now()

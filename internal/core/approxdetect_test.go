@@ -125,8 +125,8 @@ func TestDetectApproxNoRefine(t *testing.T) {
 }
 
 // TestDetectApproxFallbacks checks the exact-pass escape hatches: a
-// relation under MinN, an Off toggle, and a sample that would swallow the
-// relation all produce the exact detection with zero approx counters.
+// relation under MinN and a sample that would swallow the relation both
+// produce the exact detection with zero approx counters.
 func TestDetectApproxFallbacks(t *testing.T) {
 	ctx := context.Background()
 	rel := approxTestRel(t, metric.L2)
@@ -137,7 +137,6 @@ func TestDetectApproxFallbacks(t *testing.T) {
 	}
 	cases := map[string]ApproxOptions{
 		"min-n":         {Confidence: 0.999},                                // default MinN 2048 > n
-		"off":           {Confidence: 0.999, MinN: 256, Off: true},          //
 		"sample-ge-rel": {Confidence: 0.999, MinN: 256, SampleRate: 0.9999}, // ceil(rate·n) ≥ n
 	}
 	for name, ap := range cases {

@@ -68,8 +68,8 @@ type Options struct {
 	Logger *slog.Logger
 	// ApproxDetect switches SaveAll's detection pass to the sampled
 	// estimator with exact borderline refinement (see DetectApproxContext)
-	// when ApproxDetect.Enabled() — i.e. Confidence is set and Off is
-	// false. The zero value keeps detection exact.
+	// when ApproxDetect.Enabled() — i.e. Confidence is set. The zero
+	// value keeps detection exact.
 	ApproxDetect ApproxOptions
 }
 

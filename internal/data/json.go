@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/metric"
 )
@@ -51,25 +52,15 @@ func WriteDatasetJSON(w io.Writer, ds *Dataset) error {
 	for _, a := range ds.Rel.Schema.Attrs {
 		out.Attrs = append(out.Attrs, jsonAttr{Name: a.Name, Kind: a.Kind.String(), Scale: a.Scale})
 	}
-	enc := func(t Tuple) []any {
-		row := make([]any, len(t))
-		for i, v := range t {
-			if ds.Rel.Schema.Attrs[i].Kind == Text {
-				row[i] = v.Str
-			} else {
-				row[i] = v.Num
-			}
-		}
-		return row
-	}
+	sch := ds.Rel.Schema
 	for _, t := range ds.Rel.Tuples {
-		out.Tuples = append(out.Tuples, enc(t))
+		out.Tuples = append(out.Tuples, TupleToJSON(sch, t))
 	}
 	out.Dirty = make([]uint64, len(ds.Dirty))
 	for i, m := range ds.Dirty {
 		out.Dirty[i] = uint64(m)
 		if m != 0 {
-			out.Clean[i] = enc(ds.Clean[i])
+			out.Clean[i] = TupleToJSON(sch, ds.Clean[i])
 		}
 	}
 	e := json.NewEncoder(w)
@@ -93,28 +84,6 @@ func ReadDatasetJSON(r io.Reader) (*Dataset, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	dec := func(row []any) (Tuple, error) {
-		if len(row) != schema.M() {
-			return nil, fmt.Errorf("data: row arity %d, want %d", len(row), schema.M())
-		}
-		t := make(Tuple, len(row))
-		for i, cell := range row {
-			if schema.Attrs[i].Kind == Text {
-				s, ok := cell.(string)
-				if !ok {
-					return nil, fmt.Errorf("data: attribute %q expects text", schema.Attrs[i].Name)
-				}
-				t[i] = Str(s)
-				continue
-			}
-			f, ok := cell.(float64)
-			if !ok {
-				return nil, fmt.Errorf("data: attribute %q expects a number", schema.Attrs[i].Name)
-			}
-			t[i] = Num(f)
-		}
-		return t, nil
-	}
 	ds := &Dataset{
 		Name:    in.Name,
 		Rel:     NewRelation(schema),
@@ -124,10 +93,10 @@ func ReadDatasetJSON(r io.Reader) (*Dataset, error) {
 		Eta:     in.Eta,
 		Classes: in.Classes,
 	}
-	for _, row := range in.Tuples {
-		t, err := dec(row)
+	for i, row := range in.Tuples {
+		t, err := TupleFromJSON(schema, row)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("data: tuple %d: %w", i, err)
 		}
 		ds.Rel.Append(t)
 	}
@@ -144,9 +113,9 @@ func ReadDatasetJSON(r io.Reader) (*Dataset, error) {
 			if !ok {
 				return nil, fmt.Errorf("data: dirty tuple %d lacks its clean original", i)
 			}
-			t, err := dec(row)
+			t, err := TupleFromJSON(schema, row)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("data: clean tuple %d: %w", i, err)
 			}
 			ds.Clean[i] = t
 		}
@@ -155,6 +124,51 @@ func ReadDatasetJSON(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
+}
+
+// TupleToJSON shapes one tuple for the wire and for JSON files: a number
+// for each numeric attribute, a string for each text one.
+func TupleToJSON(sch *Schema, t Tuple) []any {
+	out := make([]any, len(t))
+	for i, v := range t {
+		if sch.Attrs[i].Kind == Text {
+			out[i] = v.Str
+		} else {
+			out[i] = v.Num
+		}
+	}
+	return out
+}
+
+// TupleFromJSON is TupleToJSON's inverse for a decoded JSON array. It
+// checks the arity against the schema, the kind of every value, and that
+// every number is finite (a Go caller can hand it NaN or ±Inf even though
+// JSON cannot carry them).
+func TupleFromJSON(sch *Schema, raw []any) (Tuple, error) {
+	if len(raw) != sch.M() {
+		return nil, fmt.Errorf("tuple has %d values, schema has %d attributes", len(raw), sch.M())
+	}
+	t := make(Tuple, len(raw))
+	for i, v := range raw {
+		a := &sch.Attrs[i]
+		if a.Kind == Text {
+			s, ok := v.(string)
+			if !ok {
+				return nil, fmt.Errorf("attribute %q is text, got %T", a.Name, v)
+			}
+			t[i] = Str(s)
+			continue
+		}
+		f, ok := v.(float64)
+		if !ok {
+			return nil, fmt.Errorf("attribute %q is numeric, got %T", a.Name, v)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("attribute %q is not finite", a.Name)
+		}
+		t[i] = Num(f)
+	}
+	return t, nil
 }
 
 func normFromByte(b uint8) metric.Norm { return metric.Norm(b) }

@@ -2,6 +2,8 @@ package data
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -89,5 +91,73 @@ func TestDatasetJSONRejectsGarbage(t *testing.T) {
 		`"labels":[0],"dirty":[0],"natural":[false],"eps":1,"eta":1,"classes":1}`
 	if _, err := ReadDatasetJSON(strings.NewReader(bad2)); err == nil {
 		t.Error("type mismatch accepted")
+	}
+}
+
+// TestTupleJSONCodec pins the one tuple codec every JSON surface shares:
+// round trips through real JSON bytes over numeric, text and mixed
+// schemas, and the decoder's rejections. NaN and ±Inf cannot be written
+// as JSON, so those cases hand the decoder Go values directly.
+func TestTupleJSONCodec(t *testing.T) {
+	numeric := NewNumericSchema("x", "y")
+	text := &Schema{Attrs: []Attribute{{Name: "city", Kind: Text}}}
+	mixed := &Schema{Attrs: []Attribute{{Name: "x", Kind: Numeric}, {Name: "city", Kind: Text}}}
+
+	for _, tc := range []struct {
+		name string
+		sch  *Schema
+		t    Tuple
+	}{
+		{"numeric", numeric, Tuple{Num(1.5), Num(-2e-7)}},
+		{"numeric extremes", numeric, Tuple{Num(math.MaxFloat64), Num(-0.0)}},
+		{"text", text, Tuple{Str(`bo"s<ton>`)}},
+		{"text empty", text, Tuple{Str("")}},
+		{"mixed", mixed, Tuple{Num(40), Str("austin")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := json.Marshal(TupleToJSON(tc.sch, tc.t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw []any
+			if err := json.Unmarshal(b, &raw); err != nil {
+				t.Fatal(err)
+			}
+			got, err := TupleFromJSON(tc.sch, raw)
+			if err != nil {
+				t.Fatalf("decoding %s: %v", b, err)
+			}
+			for i := range tc.t {
+				if !got[i].Equal(tc.t[i], tc.sch.Attrs[i].Kind) {
+					t.Fatalf("attribute %d: %+v after the round trip, want %+v", i, got[i], tc.t[i])
+				}
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name string
+		sch  *Schema
+		raw  []any
+		want string
+	}{
+		{"too few values", numeric, []any{1.0}, "1 values, schema has 2"},
+		{"too many values", text, []any{"a", "b"}, "2 values, schema has 1"},
+		{"text for numeric", numeric, []any{1.0, "2"}, `"y" is numeric`},
+		{"number for text", mixed, []any{1.0, 2.0}, `"city" is text`},
+		{"null", mixed, []any{nil, "a"}, `"x" is numeric`},
+		{"NaN", numeric, []any{math.NaN(), 1.0}, `"x" is not finite`},
+		{"+Inf", mixed, []any{math.Inf(1), "a"}, `"x" is not finite`},
+		{"-Inf", numeric, []any{0.0, math.Inf(-1)}, `"y" is not finite`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := TupleFromJSON(tc.sch, tc.raw)
+			if err == nil {
+				t.Fatalf("accepted as %+v", got)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/serve/api"
 )
 
 // Admission errors, mapped to HTTP statuses by the handlers.
@@ -45,7 +46,7 @@ type saveReq struct {
 
 type saveRes struct {
 	adj  disc.Adjustment
-	mres mutationResponse
+	mres api.MutateResponse
 	err  error
 }
 

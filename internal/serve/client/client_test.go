@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/serve/api"
 )
 
 // fastCfg keeps retry delays test-sized.
@@ -291,7 +292,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	sb.WriteString("25,25\n")
 
-	info, err := cl.CreateDatasetCSV(ctx, "e2e", sb.String(), Params{Eps: 1, Eta: 3, Kappa: 2})
+	info, err := cl.CreateDatasetCSV(ctx, "e2e", sb.String(), api.BuildParams{Eps: 1, Eta: 3, Kappa: 2})
 	if err != nil {
 		t.Fatalf("CreateDatasetCSV: %v", err)
 	}

@@ -7,8 +7,12 @@
 // single-node response shapes — so the retrying client (and disccli
 // -remote) talks to a coordinator exactly as it talks to one worker.
 //
-// Degradation policy: a chunk fails over through the placement's owner
-// list; a chunk is lost only when every owner refuses it. A response with
+// Degradation policy: a worker's 400 or 413 is the request's fault and
+// passes through at once with the worker's status and message (every
+// replica would refuse it the same way). Any other failure — 404 because
+// the replica lost its copy, 5xx, unreachable — is the replica's fault: a
+// chunk fails over through the placement's owner list and is lost only
+// when every owner fails it. A response with
 // at least one surviving chunk is a partial 200 (lost ranges carry
 // sentinel entries plus a per-chunk errors list); only when every owner of
 // a placement is gone does the coordinator answer 503. Worker failures,
@@ -18,7 +22,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,6 +37,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/serve/api"
 	"repro/internal/serve/client"
 )
 
@@ -204,9 +208,7 @@ func (c *Coordinator) wrap(next http.Handler) http.Handler {
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 				if sw.Status == 0 {
-					sw.Header().Set("Content-Type", "application/json")
-					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(serve.ErrorJSON{Error: "internal server error", RequestID: id})
+					serve.WriteJSON(sw, http.StatusInternalServerError, api.ErrorJSON{Error: "internal server error", RequestID: id})
 				}
 			}
 			c.log.Info("coord: request", "request_id", id,
@@ -471,18 +473,33 @@ func chunkRanges(n, owners int) [][2]int {
 	return out
 }
 
+// requestFault reports whether err is a worker refusing the request itself
+// (400 malformed, 413 too large): every replica would answer the same, so
+// the refusal passes through instead of failing over. Every other failure
+// is the replica's fault.
+func requestFault(err error) (*client.APIError, bool) {
+	var ae *client.APIError
+	if errors.As(err, &ae) && (ae.Status == http.StatusBadRequest || ae.Status == http.StatusRequestEntityTooLarge) {
+		return ae, true
+	}
+	return nil, false
+}
+
 // scatter runs call for each chunk of n tuples across p's owners, with
 // per-chunk failover: chunk k tries owner (k+j) mod len(owners) for
-// j = 0.., so replicas split the primary load. call returns whether the
-// owner answered definitively. A chunk is lost when every owner fails;
-// the returned errors describe the lost chunks.
-func (c *Coordinator) scatter(ctx context.Context, p *placement, n int,
-	call func(chunk int, lo, hi int, o ownerRef) error) []chunkError {
+// j = 0.., so replicas split the primary load. A chunk is lost when every
+// owner fails it; the returned errors describe the lost chunks. A request
+// fault stops its chunk at once and is returned as the refusal, its
+// message naming the chunk's tuple range (the worker numbers tuples
+// within its chunk).
+func (c *Coordinator) scatter(p *placement, n int,
+	call func(lo, hi int, o ownerRef) error) ([]chunkError, *client.APIError) {
 	ranges := chunkRanges(n, len(p.Owners))
 	c.stats.Scatters.Add(1)
 	c.stats.ScatterChunks.Add(int64(len(ranges)))
 	errsCh := make([]chunkError, len(ranges))
 	lost := make([]bool, len(ranges))
+	refusals := make([]*client.APIError, len(ranges))
 	var wg sync.WaitGroup
 	for k, rg := range ranges {
 		wg.Add(1)
@@ -499,11 +516,16 @@ func (c *Coordinator) scatter(ctx context.Context, p *placement, n int,
 			var lastErr error
 			for j := 0; j < len(p.Owners); j++ {
 				o := p.Owners[(k+j)%len(p.Owners)]
-				err := call(k, lo, hi, o)
+				err := call(lo, hi, o)
 				if err == nil {
 					if j > 0 {
 						c.stats.Failovers.Add(1)
 					}
+					return
+				}
+				if ae, ok := requestFault(err); ok {
+					refusals[k] = &client.APIError{Status: ae.Status,
+						Message: fmt.Sprintf("coord: tuples [%d,%d): %s", lo, hi, ae.Message)}
 					return
 				}
 				c.stats.WorkerErrors.Add(1)
@@ -518,27 +540,24 @@ func (c *Coordinator) scatter(ctx context.Context, p *placement, n int,
 	}
 	wg.Wait()
 	var out []chunkError
+	var refused *client.APIError
 	for k := range ranges {
+		if refused == nil {
+			refused = refusals[k]
+		}
 		if lost[k] {
 			out = append(out, errsCh[k])
 		}
 	}
-	return out
-}
-
-type detectRequest struct {
-	Tuples [][]any `json:"tuples"`
-	Member bool    `json:"member"`
+	return out, refused
 }
 
 // coordDetectResponse is the single-node detect answer plus the partial
 // markers. Lost tuples carry neighbors = -1.
 type coordDetectResponse struct {
-	Eps     float64               `json:"eps"`
-	Eta     int                   `json:"eta"`
-	Results []client.DetectResult `json:"results"`
-	Partial bool                  `json:"partial,omitempty"`
-	Errors  []chunkError          `json:"errors,omitempty"`
+	api.DetectResponse
+	Partial bool         `json:"partial,omitempty"`
+	Errors  []chunkError `json:"errors,omitempty"`
 }
 
 func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -547,7 +566,7 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
-	var req detectRequest
+	var req api.DetectRequest
 	if !c.decodeJSON(w, r, &req) {
 		return
 	}
@@ -555,12 +574,12 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, r, http.StatusBadRequest, errors.New("coord: tuples is required"))
 		return
 	}
-	resp := coordDetectResponse{Results: make([]client.DetectResult, len(req.Tuples))}
+	resp := coordDetectResponse{DetectResponse: api.DetectResponse{Results: make([]api.DetectResult, len(req.Tuples))}}
 	for i := range resp.Results {
 		resp.Results[i].Neighbors = -1
 	}
 	var mu sync.Mutex
-	lost := c.scatter(r.Context(), p, len(req.Tuples), func(_ int, lo, hi int, o ownerRef) error {
+	lost, refused := c.scatter(p, len(req.Tuples), func(lo, hi int, o ownerRef) error {
 		dr, err := c.workers[o.URL].cli.Detect(r.Context(), o.LocalID, req.Tuples[lo:hi], req.Member)
 		if err != nil {
 			return err
@@ -574,28 +593,20 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 		copy(resp.Results[lo:hi], dr.Results)
 		return nil
 	})
-	c.finishScatter(w, r, p, len(lost), len(chunkRanges(len(req.Tuples), len(p.Owners))), func() {
+	c.finishScatter(w, r, p, refused, len(lost), len(chunkRanges(len(req.Tuples), len(p.Owners))), func() {
 		resp.Partial = len(lost) > 0
 		resp.Errors = lost
 		c.writeJSON(w, http.StatusOK, resp)
 	})
 }
 
-type repairRequest struct {
-	Tuples    [][]any `json:"tuples"`
-	TimeoutMS int     `json:"timeout_ms"`
-}
-
 // coordRepairResponse is the single-node repair answer plus the partial
 // markers. Lost tuples carry zero-valued adjustments (not saved, not
 // natural, not exhausted) and are described in Errors.
 type coordRepairResponse struct {
-	Adjustments []client.Adjustment `json:"adjustments"`
-	Saved       int                 `json:"saved"`
-	Natural     int                 `json:"natural"`
-	Exhausted   int                 `json:"exhausted"`
-	Partial     bool                `json:"partial,omitempty"`
-	Errors      []chunkError        `json:"errors,omitempty"`
+	api.RepairResponse
+	Partial bool         `json:"partial,omitempty"`
+	Errors  []chunkError `json:"errors,omitempty"`
 }
 
 func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -607,7 +618,7 @@ func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
-	var req repairRequest
+	var req api.RepairRequest
 	if !c.decodeJSON(w, r, &req) {
 		return
 	}
@@ -615,9 +626,9 @@ func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, r, http.StatusBadRequest, errors.New("coord: tuples is required"))
 		return
 	}
-	resp := coordRepairResponse{Adjustments: make([]client.Adjustment, len(req.Tuples))}
+	resp := coordRepairResponse{RepairResponse: api.RepairResponse{Adjustments: make([]api.Adjustment, len(req.Tuples))}}
 	var mu sync.Mutex
-	lost := c.scatter(r.Context(), p, len(req.Tuples), func(_ int, lo, hi int, o ownerRef) error {
+	lost, refused := c.scatter(p, len(req.Tuples), func(lo, hi int, o ownerRef) error {
 		rr, err := c.workers[o.URL].cli.Repair(r.Context(), o.LocalID, req.Tuples[lo:hi], req.TimeoutMS)
 		if err != nil {
 			return err
@@ -633,18 +644,22 @@ func (c *Coordinator) handleRepair(w http.ResponseWriter, r *http.Request) {
 		resp.Exhausted += rr.Exhausted
 		return nil
 	})
-	c.finishScatter(w, r, p, len(lost), len(chunkRanges(len(req.Tuples), len(p.Owners))), func() {
+	c.finishScatter(w, r, p, refused, len(lost), len(chunkRanges(len(req.Tuples), len(p.Owners))), func() {
 		resp.Partial = len(lost) > 0
 		resp.Errors = lost
 		c.writeJSON(w, http.StatusOK, resp)
 	})
 }
 
-// finishScatter applies the gather policy: merge-site chaos first, then
-// 503 when every chunk was lost, partial 200 when some survived, clean
-// 200 otherwise.
+// finishScatter applies the gather policy: a request fault passes through
+// first, then merge-site chaos, then 503 when every chunk was lost,
+// partial 200 when some survived, clean 200 otherwise.
 func (c *Coordinator) finishScatter(w http.ResponseWriter, r *http.Request, p *placement,
-	lostChunks, totalChunks int, ok func()) {
+	refused *client.APIError, lostChunks, totalChunks int, ok func()) {
+	if refused != nil {
+		c.writeErr(w, r, refused.Status, errors.New(refused.Message))
+		return
+	}
 	if ferr := fault.Inject(fault.ShardMerge); ferr != nil {
 		c.writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("coord: merging chunk answers: %w", ferr))
 		return
@@ -660,13 +675,9 @@ func (c *Coordinator) finishScatter(w http.ResponseWriter, r *http.Request, p *p
 	ok()
 }
 
-type saveRequest struct {
-	Tuple     []any `json:"tuple"`
-	TimeoutMS int   `json:"timeout_ms"`
-}
-
-// handleSave proxies the single-tuple save, failing over through the
-// owner list; only when every owner is lost does it answer 503.
+// handleSave proxies the single-tuple save under scatter's policy: a
+// request fault passes through, any other failure fails over through the
+// owner list, and only when every owner fails does it answer 503.
 func (c *Coordinator) handleSave(w http.ResponseWriter, r *http.Request) {
 	if c.refuseDraining(w, r) {
 		return
@@ -676,7 +687,7 @@ func (c *Coordinator) handleSave(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, r, http.StatusNotFound, fmt.Errorf("coord: no session %q", r.PathValue("id")))
 		return
 	}
-	var req saveRequest
+	var req api.TupleRequest
 	if !c.decodeJSON(w, r, &req) {
 		return
 	}
@@ -694,11 +705,8 @@ func (c *Coordinator) handleSave(w http.ResponseWriter, r *http.Request) {
 			c.writeJSON(w, http.StatusOK, adj)
 			return
 		}
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			// Definitive refusal (bad tuple → 400): the worker is alive,
-			// pass its answer through instead of failing over.
-			c.writeErr(w, r, apiErr.Status, errors.New(apiErr.Message))
+		if ae, ok := requestFault(err); ok {
+			c.writeErr(w, r, ae.Status, errors.New(ae.Message))
 			return
 		}
 		c.stats.WorkerErrors.Add(1)
@@ -885,16 +893,12 @@ func (c *Coordinator) decodeJSON(w http.ResponseWriter, r *http.Request, v any) 
 }
 
 func (c *Coordinator) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	if err := serve.WriteJSON(w, status, v); err != nil {
 		c.log.Warn("coord: writing response", "err", err)
 	}
 }
 
 func (c *Coordinator) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
 	id := w.Header().Get("X-Request-ID")
-	c.writeJSON(w, status, serve.ErrorJSON{Error: err.Error(), RequestID: id})
+	c.writeJSON(w, status, api.ErrorJSON{Error: err.Error(), RequestID: id})
 }

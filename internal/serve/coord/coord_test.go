@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/serve/api"
 	"repro/internal/serve/client"
 )
 
@@ -132,7 +133,7 @@ func rawGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-var testParams = client.Params{Eps: 1, Eta: 3, Kappa: 2}
+var testParams = api.BuildParams{Eps: 1, Eta: 3, Kappa: 2}
 
 // TestCoordinatorEndToEnd drives the whole proxied surface against a
 // 3-worker fleet and checks every answer against a plain single worker
@@ -427,8 +428,8 @@ func TestCoordinatorChaosKilledChunk(t *testing.T) {
 		t.Fatalf("partial detect status %d, want 200: %s", status, body)
 	}
 	var resp struct {
-		Results []client.DetectResult `json:"results"`
-		Partial bool                  `json:"partial"`
+		Results []api.DetectResult `json:"results"`
+		Partial bool               `json:"partial"`
 		Errors  []struct {
 			Chunk int    `json:"chunk"`
 			From  int    `json:"from"`
@@ -500,7 +501,7 @@ func TestCoordinatorChaosDelayedChunk(t *testing.T) {
 	}
 	var resp struct {
 		Partial bool `json:"partial"`
-		Results []client.DetectResult
+		Results []api.DetectResult
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
@@ -589,6 +590,48 @@ func TestCoordinatorRejections(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s with trailing data %q: status %d, want 400", tc.endpoint, tc.body, resp.StatusCode)
 		}
+	}
+
+	// A tuple the schema rejects is the request's fault: the worker's 400
+	// passes through at once, with no failover and no worker error, and one
+	// bad tuple fails the whole batch exactly as it does on a worker.
+	before := co.Stats()
+	for _, tc := range []struct{ endpoint, body string }{
+		{"detect", `{"tuples":[[0.2]]}`},
+		{"repair", `{"tuples":[[20,20,20]]}`},
+		{"repair", `{"tuples":[[20,20],["x",20]]}`},
+		{"save", `{"tuple":[20]}`},
+	} {
+		status, body := rawPost(t, cts.URL+"/v1/datasets/"+info.ID+"/"+tc.endpoint, json.RawMessage(tc.body))
+		if status != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d (%s), want the worker's 400", tc.endpoint, tc.body, status, body)
+		}
+	}
+	if after := co.Stats(); after.WorkerErrors != before.WorkerErrors || after.Failovers != before.Failovers {
+		t.Errorf("request faults counted as replica trouble: worker_errors %d→%d, failovers %d→%d",
+			before.WorkerErrors, after.WorkerErrors, before.Failovers, after.Failovers)
+	}
+
+	// A replica that lost its copy (404 on the first owner) is the
+	// replica's fault: save and repair fail over to the next owner.
+	pl, _ := co.placementOf(info.ID)
+	first := pl.Owners[0]
+	wcl := client.New(client.Config{BaseURL: first.URL, MaxRetries: -1})
+	if err := wcl.Delete(ctx, first.LocalID); err != nil {
+		t.Fatalf("deleting the first owner's copy: %v", err)
+	}
+	if status, body := rawPost(t, cts.URL+"/v1/datasets/"+info.ID+"/save",
+		map[string]any{"tuple": []any{20.0, 20.0}}); status != http.StatusOK {
+		t.Errorf("save with the first owner's copy lost: status %d (%s), want 200 by failover", status, body)
+	}
+	status, body := rawPost(t, cts.URL+"/v1/datasets/"+info.ID+"/repair",
+		map[string]any{"tuples": [][]any{{20.0, 20.0}, {30.0, -10.0}}})
+	var rr coordRepairResponse
+	if err := json.Unmarshal(body, &rr); status != http.StatusOK || err != nil || rr.Partial || rr.Saved != 2 {
+		t.Errorf("repair with the first owner's copy lost: status %d (%s), want a complete 200", status, body)
+	}
+	if got := co.Stats().Failovers - before.Failovers; got < 2 {
+		t.Errorf("failovers = %d after losing a replica, want ≥ 2 (save and one repair chunk)", got)
 	}
 
 	if err := co.Shutdown(ctx); err != nil {

@@ -1,8 +1,7 @@
-// Package shard holds the end-to-end sharding property: a relation served by
-// a coordinator that scatters every request across S worker replicas must
-// answer exactly as one in-process run. The package has no program code; the
-// scatter/gather it exercises lives in internal/serve/coord.
-package shard
+// The end-to-end sharding property: a relation served by a coordinator that
+// scatters every request across S worker replicas must answer exactly as
+// one in-process run.
+package coord_test
 
 import (
 	"context"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/neighbors"
 	"repro/internal/serve"
+	"repro/internal/serve/api"
 	"repro/internal/serve/client"
 	"repro/internal/serve/coord"
 )
@@ -130,7 +130,7 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // assertAdjustment compares one served adjustment with the single-node one.
-func assertAdjustment(t *testing.T, k int, got client.Adjustment, want core.Adjustment) {
+func assertAdjustment(t *testing.T, k int, got api.Adjustment, want core.Adjustment) {
 	t.Helper()
 	if got.Saved != want.Saved() || got.Natural != want.Natural ||
 		got.Exhausted != want.Exhausted || got.Nodes != want.Nodes {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	disc "repro"
+	"repro/internal/serve/api"
 	"repro/internal/snapshot"
 )
 
@@ -74,7 +75,7 @@ func TestApproxSessionDeletesMatchRebuild(t *testing.T) {
 	r := NewRegistry(Config{BatchWindow: -1}.withDefaults())
 	defer r.Close()
 	s, err := r.Upload(context.Background(), "approx", uniformRelation(rng, 4000),
-		BuildParams{Eps: 0.03, Eta: 11, Kappa: 2, Index: "grid", Approx: true, Seed: 1})
+		api.BuildParams{Eps: 0.03, Eta: 11, Kappa: 2, Index: "grid", Approx: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestLegacySnapshotDeletesMatchRebuild(t *testing.T) {
 	dir := t.TempDir()
 	snap := &snapshot.Snapshot{
 		ID: "legacy", Name: "legacy",
-		Params: snapshot.Params{Eps: cons.Eps, Eta: cons.Eta, Kappa: 2, Index: "grid"},
+		Params: api.BuildParams{Eps: cons.Eps, Eta: cons.Eta, Kappa: 2, Index: "grid"},
 		Eps:    cons.Eps, Eta: cons.Eta,
 		Rel: rel, Counts: full,
 	}

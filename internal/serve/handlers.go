@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -15,7 +14,9 @@ import (
 	"time"
 
 	disc "repro"
+	"repro/internal/data"
 	"repro/internal/obs"
+	"repro/internal/serve/api"
 )
 
 // Config tunes the server's capacity knobs. The zero value is usable;
@@ -211,94 +212,6 @@ func (s *Server) logFinalStats() {
 	}
 }
 
-// --- request/response schemas ---
-
-// createRequest selects the dataset source (exactly one of csv / path /
-// table1) and the constraint parameters.
-type createRequest struct {
-	// Name labels the session (defaults to the source).
-	Name string `json:"name"`
-	// CSV is an inline dataset in the disccli CSV dialect.
-	CSV string `json:"csv"`
-	// Path loads a dataset file on the server host (CSV, or dataset JSON
-	// with its own (ε, η) defaults). Path loads are cached: same path and
-	// params → same session.
-	Path string `json:"path"`
-	// Table1 instantiates a synthetic Table 1 dataset by name, at Scale
-	// (default 1) with Seed.
-	Table1 string  `json:"table1"`
-	Scale  float64 `json:"scale"`
-	Seed   int64   `json:"seed"`
-
-	Eps      float64 `json:"eps"`
-	Eta      int     `json:"eta"`
-	Kappa    int     `json:"kappa"`
-	MaxNodes int     `json:"max_nodes"`
-	// Index selects the neighbor index kind: "auto" (default), "brute",
-	// "grid", "kd" or "vp".
-	Index string `json:"index"`
-	// Approx switches the build-time detection pass to the sampled
-	// estimator with exact borderline refinement; ApproxConfidence tunes
-	// its certificate confidence (0 = default 0.999).
-	Approx           bool    `json:"approx"`
-	ApproxConfidence float64 `json:"approx_confidence"`
-}
-
-// mutateRequest carries one tuple for POST .../tuples (insert) and
-// PUT .../tuples/{idx} (update); DELETE takes no body.
-type mutateRequest struct {
-	Tuple     []any `json:"tuple"`
-	TimeoutMS int   `json:"timeout_ms"`
-}
-
-type detectRequest struct {
-	Tuples [][]any `json:"tuples"`
-	// Member declares the query tuples to be rows of the session's dataset
-	// (a remote client re-screening its own data): each tuple's stored copy
-	// is excluded from its neighbor count, matching detection semantics.
-	// Without it a member tuple counts itself and can pass the η threshold
-	// spuriously.
-	Member bool `json:"member"`
-}
-
-type detectResponse struct {
-	Eps     float64        `json:"eps"`
-	Eta     int            `json:"eta"`
-	Results []detectResult `json:"results"`
-}
-
-type detectResult struct {
-	Neighbors int  `json:"neighbors"`
-	Outlier   bool `json:"outlier"`
-}
-
-type saveRequest struct {
-	Tuple     []any `json:"tuple"`
-	TimeoutMS int   `json:"timeout_ms"`
-}
-
-type repairRequest struct {
-	Tuples    [][]any `json:"tuples"`
-	TimeoutMS int     `json:"timeout_ms"`
-}
-
-type adjustmentJSON struct {
-	Saved     bool     `json:"saved"`
-	Natural   bool     `json:"natural"`
-	Exhausted bool     `json:"exhausted"`
-	Cost      float64  `json:"cost"`
-	Tuple     []any    `json:"tuple,omitempty"`
-	Adjusted  []string `json:"adjusted,omitempty"`
-	Nodes     int      `json:"nodes"`
-}
-
-type repairResponse struct {
-	Adjustments []adjustmentJSON `json:"adjustments"`
-	Saved       int              `json:"saved"`
-	Natural     int              `json:"natural"`
-	Exhausted   int              `json:"exhausted"`
-}
-
 // --- handlers ---
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +227,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(ct, "text/csv") {
 		// Raw CSV body; params ride in the query string.
 		q := r.URL.Query()
-		p := BuildParams{Kappa: 2}
+		p := api.BuildParams{Kappa: 2}
 		p.Eps, _ = strconv.ParseFloat(q.Get("eps"), 64)
 		p.Eta, _ = strconv.Atoi(q.Get("eta"))
 		if k := q.Get("kappa"); k != "" {
@@ -340,7 +253,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		sess, err = s.reg.Upload(r.Context(), name, rel, p)
 	} else {
-		var req createRequest
+		var req api.CreateRequest
 		if !s.decodeJSON(w, r, &req) {
 			return
 		}
@@ -355,8 +268,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 				errors.New("serve: exactly one of csv, path or table1 must be set"))
 			return
 		}
-		p := BuildParams{Eps: req.Eps, Eta: req.Eta, Kappa: req.Kappa, MaxNodes: req.MaxNodes, Seed: req.Seed, Index: req.Index,
-			Approx: req.Approx, ApproxConfidence: req.ApproxConfidence}
+		p := req.BuildParams
 		switch {
 		case req.Path != "":
 			sess, err = s.reg.OpenPath(r.Context(), req.Path, p)
@@ -443,7 +355,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req detectRequest
+	var req api.DetectRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
@@ -453,7 +365,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	tuples := make([]disc.Tuple, len(req.Tuples))
 	for i, raw := range req.Tuples {
-		t, err := parseTuple(sess.schema, raw)
+		t, err := data.TupleFromJSON(sess.schema, raw)
 		if err != nil {
 			s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
 			return
@@ -465,8 +377,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// index answers, and the traffic proves it. The state read-lock keeps
 	// the queries consistent against concurrent mutations.
 	var qc disc.IndexCounters
-	resp := detectResponse{Eps: sess.Cons.Eps, Eta: sess.Cons.Eta,
-		Results: make([]detectResult, len(tuples))}
+	resp := api.DetectResponse{Eps: sess.Cons.Eps, Eta: sess.Cons.Eta,
+		Results: make([]api.DetectResult, len(tuples))}
 	sess.stateMu.RLock()
 	view := disc.CountingIndex(sess.RelIdx, &qc)
 	for i, t := range tuples {
@@ -483,7 +395,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		if req.Member && n > 0 {
 			n--
 		}
-		resp.Results[i] = detectResult{Neighbors: n, Outlier: n < sess.Cons.Eta}
+		resp.Results[i] = api.DetectResult{Neighbors: n, Outlier: n < sess.Cons.Eta}
 	}
 	sess.stateMu.RUnlock()
 	var st obs.SearchStats
@@ -509,13 +421,8 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req saveRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	t, err := parseTuple(sess.schema, req.Tuple)
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
+	t, req, ok := s.decodeTuple(w, r, sess)
+	if !ok {
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
@@ -560,7 +467,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req repairRequest
+	var req api.RepairRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
@@ -572,7 +479,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	reqs := make([]*saveReq, len(req.Tuples))
 	for i, raw := range req.Tuples {
-		t, err := parseTuple(sess.schema, raw)
+		t, err := data.TupleFromJSON(sess.schema, raw)
 		if err != nil {
 			s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: tuple %d: %w", i, err))
 			return
@@ -585,7 +492,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Span("admit", hStart)
 	rs := time.Now()
-	resp := repairResponse{Adjustments: make([]adjustmentJSON, len(reqs))}
+	resp := api.RepairResponse{Adjustments: make([]api.Adjustment, len(reqs))}
 	for i, sr := range reqs {
 		select {
 		case res := <-sr.res:
@@ -632,13 +539,8 @@ func (s *Server) handleTupleInsert(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("serve: no session %q", r.PathValue("id")))
 		return
 	}
-	var req mutateRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	t, err := parseTuple(sess.schema, req.Tuple)
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
+	t, req, ok := s.decodeTuple(w, r, sess)
+	if !ok {
 		return
 	}
 	s.runMutation(w, r, sess, &mutation{op: "insert", tuple: t}, req.TimeoutMS, http.StatusCreated)
@@ -662,13 +564,8 @@ func (s *Server) handleTupleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: bad row index %q", r.PathValue("idx")))
 		return
 	}
-	var req mutateRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	t, perr := parseTuple(sess.schema, req.Tuple)
-	if perr != nil {
-		s.writeErr(w, r, http.StatusBadRequest, perr)
+	t, req, ok := s.decodeTuple(w, r, sess)
+	if !ok {
 		return
 	}
 	s.runMutation(w, r, sess, &mutation{op: "update", index: idx, tuple: t}, req.TimeoutMS, http.StatusOK)
@@ -827,6 +724,21 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	return err == nil
 }
 
+// decodeTuple decodes a one-tuple body (save, insert, update) and parses
+// its tuple against the session's schema, writing the error answer itself;
+// ok reports whether the handler should continue.
+func (s *Server) decodeTuple(w http.ResponseWriter, r *http.Request, sess *Session) (t disc.Tuple, req api.TupleRequest, ok bool) {
+	if !s.decodeJSON(w, r, &req) {
+		return nil, req, false
+	}
+	t, err := data.TupleFromJSON(sess.schema, req.Tuple)
+	if err != nil {
+		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("serve: %w", err))
+		return nil, req, false
+	}
+	return t, req, true
+}
+
 // requestCtx derives the per-request save deadline: the client's timeout_ms
 // capped by the server's RequestBudget, on top of the connection context.
 func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
@@ -867,64 +779,19 @@ func (s *Server) writeAdmitErr(w http.ResponseWriter, r *http.Request, err error
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := WriteJSON(w, status, v); err != nil {
 		s.log.Warn("serve: encoding response", "err", err)
 	}
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeJSON(w, status, ErrorJSON{Error: err.Error(), RequestID: requestIDFrom(r.Context())})
-}
-
-// parseTuple decodes one JSON tuple ([1.5, "abc", ...]) against the
-// session's schema: numbers for numeric attributes, strings for text.
-func parseTuple(sch *disc.Schema, raw []any) (disc.Tuple, error) {
-	if len(raw) != sch.M() {
-		return nil, fmt.Errorf("serve: tuple has %d values, schema has %d attributes", len(raw), sch.M())
-	}
-	t := make(disc.Tuple, len(raw))
-	for i, v := range raw {
-		if sch.Attrs[i].Kind == disc.Text {
-			sv, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("serve: attribute %q is text, got %T", sch.Attrs[i].Name, v)
-			}
-			t[i] = disc.Str(sv)
-			continue
-		}
-		fv, ok := v.(float64)
-		if !ok {
-			return nil, fmt.Errorf("serve: attribute %q is numeric, got %T", sch.Attrs[i].Name, v)
-		}
-		if math.IsNaN(fv) || math.IsInf(fv, 0) {
-			return nil, fmt.Errorf("serve: attribute %q is not finite", sch.Attrs[i].Name)
-		}
-		t[i] = disc.Num(fv)
-	}
-	return t, nil
-}
-
-// tupleToJSON is parseTuple's inverse.
-func tupleToJSON(sch *disc.Schema, t disc.Tuple) []any {
-	out := make([]any, len(t))
-	for i := range t {
-		if sch.Attrs[i].Kind == disc.Text {
-			out[i] = t[i].Str
-		} else {
-			out[i] = t[i].Num
-		}
-	}
-	return out
+	s.writeJSON(w, status, api.ErrorJSON{Error: err.Error(), RequestID: requestIDFrom(r.Context())})
 }
 
 // adjustmentToJSON shapes one Adjustment for the wire. Cost is emitted only
 // for saved tuples — an unsaved adjustment's +Inf cost is not a JSON value.
-func adjustmentToJSON(sch *disc.Schema, adj disc.Adjustment) adjustmentJSON {
-	aj := adjustmentJSON{
+func adjustmentToJSON(sch *disc.Schema, adj disc.Adjustment) api.Adjustment {
+	aj := api.Adjustment{
 		Saved:     adj.Saved(),
 		Natural:   adj.Natural,
 		Exhausted: adj.Exhausted,
@@ -932,7 +799,7 @@ func adjustmentToJSON(sch *disc.Schema, adj disc.Adjustment) adjustmentJSON {
 	}
 	if adj.Saved() {
 		aj.Cost = adj.Cost
-		aj.Tuple = tupleToJSON(sch, adj.Tuple)
+		aj.Tuple = data.TupleToJSON(sch, adj.Tuple)
 		for _, a := range adj.Adjusted.Attrs(sch.M()) {
 			aj.Adjusted = append(aj.Adjusted, sch.Attrs[a].Name)
 		}

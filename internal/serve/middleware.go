@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve/api"
 )
 
 // ctxKey keys the values this package stores in request contexts.
@@ -46,11 +47,15 @@ func (w *StatusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// ErrorJSON is the uniform error body of every error answer, worker and
-// coordinator alike.
-type ErrorJSON struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
+// WriteJSON writes v as a compact JSON answer with the given status, HTML
+// escaping off. Workers and the coordinator both answer through it, so a
+// proxied body has one byte form.
+func WriteJSON(w http.ResponseWriter, status int, v any) error {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
 }
 
 // DecodeJSON reads one JSON request body into v with the full hardening
@@ -134,9 +139,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				if sw.Status == 0 {
 					// Headers not sent yet: answer a proper 500. Otherwise
 					// the response is already on the wire; just cut it off.
-					sw.Header().Set("Content-Type", "application/json")
-					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(ErrorJSON{
+					WriteJSON(sw, http.StatusInternalServerError, api.ErrorJSON{
 						Error:     "internal server error",
 						RequestID: id,
 					})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	disc "repro"
+	"repro/internal/serve/api"
 )
 
 // errNoSuchRow marks a mutation addressing a logical row that does not
@@ -24,30 +25,6 @@ type mutation struct {
 	op    string // "insert" | "update" | "delete"
 	index int    // logical row for update/delete
 	tuple disc.Tuple
-}
-
-// mutationResponse reports the incremental maintenance a mutation did.
-type mutationResponse struct {
-	Op string `json:"op"`
-	// Index is the affected logical row: the new row's handle for
-	// insert, the addressed row for update/delete. Handles are stable
-	// across every mutation (deletes leave holes, updates keep the
-	// handle), but not across a server restart after deletes — the
-	// snapshot stores the live rows reindexed densely.
-	Index int `json:"index"`
-	// Tuples/Inliers/Outliers are the live totals after the mutation.
-	Tuples   int `json:"tuples"`
-	Inliers  int `json:"inliers"`
-	Outliers int `json:"outliers"`
-	// Flipped counts existing tuples whose inlier/outlier status crossed
-	// η; Touched counts the tuples whose neighbor counts were
-	// re-examined (the ε-balls of the old and new values).
-	Flipped int `json:"flipped"`
-	Touched int `json:"touched"`
-	// Neighbors and Outlier describe the inserted/updated tuple itself
-	// (absent for delete).
-	Neighbors int  `json:"neighbors"`
-	Outlier   bool `json:"outlier"`
 }
 
 // initMutableState derives the logical row mapping, the full→saver row
@@ -75,9 +52,9 @@ func (s *Session) initMutableState() {
 // saver's inlier set and η-radii, settle the byte ledger, and mark the
 // snapshot dirty. It is called from the batcher's dispatch, so it
 // serializes against queued detect/save work.
-func (s *Session) applyMutation(m *mutation) (mutationResponse, error) {
+func (s *Session) applyMutation(m *mutation) (api.MutateResponse, error) {
 	s.stateMu.Lock()
-	resp := mutationResponse{Op: m.op, Index: m.index}
+	resp := api.MutateResponse{Op: m.op, Index: m.index}
 	var bytesDelta int64
 	var refresh []disc.Tuple // δ_η refresh centers, applied after all membership changes
 	var flips []int

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	disc "repro"
+	"repro/internal/serve/api"
 )
 
 // benchMutParams holds the constant-density benchmark geometry: tuples
@@ -33,7 +34,7 @@ func benchMutSession(b *testing.B, n int) *Session {
 	r := NewRegistry(Config{BatchWindow: -1}.withDefaults())
 	b.Cleanup(r.Close)
 	s, err := r.Upload(context.Background(), "bench", benchMutRelation(n),
-		BuildParams{Eps: benchMutEps, Eta: benchMutEta, Kappa: 2, Index: "grid"})
+		api.BuildParams{Eps: benchMutEps, Eta: benchMutEta, Kappa: 2, Index: "grid"})
 	if err != nil {
 		b.Fatalf("upload: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	disc "repro"
+	"repro/internal/serve/api"
 )
 
 func randTuple2D(rng *rand.Rand, scale float64) disc.Tuple {
@@ -55,8 +56,8 @@ func TestMutateDifferential(t *testing.T) {
 			if err := disc.WriteCSV(&buf, rel); err != nil {
 				t.Fatal(err)
 			}
-			w := do(t, s, "POST", "/v1/datasets", createRequest{
-				Name: "mut", CSV: buf.String(), Eps: 0.25, Eta: 3, Kappa: 2, Index: kind,
+			w := do(t, s, "POST", "/v1/datasets", api.CreateRequest{
+				Name: "mut", CSV: buf.String(), BuildParams: api.BuildParams{Eps: 0.25, Eta: 3, Kappa: 2, Index: kind},
 			})
 			if w.Code != http.StatusCreated {
 				t.Fatalf("upload: status %d, body %s", w.Code, w.Body.String())
@@ -83,11 +84,11 @@ func TestMutateDifferential(t *testing.T) {
 					}
 					tp := randTuple2D(rng, scale)
 					w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/tuples",
-						mutateRequest{Tuple: tupleAny(tp)})
+						api.TupleRequest{Tuple: tupleAny(tp)})
 					if w.Code != http.StatusCreated {
 						t.Fatalf("insert: status %d, body %s", w.Code, w.Body.String())
 					}
-					mres := decode[mutationResponse](t, w)
+					mres := decode[api.MutateResponse](t, w)
 					if mres.Index != len(mirror) {
 						t.Fatalf("insert handle = %d, want %d", mres.Index, len(mirror))
 					}
@@ -100,7 +101,7 @@ func TestMutateDifferential(t *testing.T) {
 					h := randLiveHandle(rng, mirror)
 					tp := randTuple2D(rng, 1)
 					w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, h),
-						mutateRequest{Tuple: tupleAny(tp)})
+						api.TupleRequest{Tuple: tupleAny(tp)})
 					if w.Code != http.StatusOK {
 						t.Fatalf("update %d: status %d, body %s", h, w.Code, w.Body.String())
 					}
@@ -128,7 +129,7 @@ func TestMutateDifferential(t *testing.T) {
 				}
 			}
 			fs, err := s.Registry().Upload(context.Background(), "fresh", fresh,
-				BuildParams{Eps: 0.25, Eta: 3, Kappa: 2, Index: kind})
+				api.BuildParams{Eps: 0.25, Eta: 3, Kappa: 2, Index: kind})
 			if err != nil {
 				t.Fatalf("fresh rebuild: %v", err)
 			}
@@ -155,10 +156,10 @@ func TestMutateDifferential(t *testing.T) {
 					probes = append(probes, tupleAny(tp))
 				}
 			}
-			dm := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-				detectRequest{Tuples: probes, Member: true}))
-			df := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-				detectRequest{Tuples: probes, Member: true}))
+			dm := decode[api.DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+				api.DetectRequest{Tuples: probes, Member: true}))
+			df := decode[api.DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+				api.DetectRequest{Tuples: probes, Member: true}))
 			if !reflect.DeepEqual(dm.Results, df.Results) {
 				t.Fatalf("member detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
 			}
@@ -166,10 +167,10 @@ func TestMutateDifferential(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				probes = append(probes, tupleAny(randTuple2D(rng, 1.4)))
 			}
-			dm = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-				detectRequest{Tuples: probes}))
-			df = decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-				detectRequest{Tuples: probes}))
+			dm = decode[api.DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+				api.DetectRequest{Tuples: probes}))
+			df = decode[api.DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+				api.DetectRequest{Tuples: probes}))
 			if !reflect.DeepEqual(dm.Results, df.Results) {
 				t.Fatalf("probe detect diverged from rebuild:\nmutated: %+v\nrebuild: %+v", dm.Results, df.Results)
 			}
@@ -181,13 +182,13 @@ func TestMutateDifferential(t *testing.T) {
 			// not show through).
 			for i := 0; i < 3; i++ {
 				probe := tupleAny(disc.Tuple{disc.Num(1.2 + 0.3*float64(i) + rng.Float64()/8), disc.Num(1.3 + rng.Float64()/8)})
-				am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: probe})
-				af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", saveRequest{Tuple: probe})
+				am := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", api.TupleRequest{Tuple: probe})
+				af := do(t, s, "POST", "/v1/datasets/"+fs.ID+"/save", api.TupleRequest{Tuple: probe})
 				if am.Code != http.StatusOK || af.Code != http.StatusOK {
 					t.Fatalf("save probe %d: mutated %d, rebuild %d", i, am.Code, af.Code)
 				}
-				jm := decode[adjustmentJSON](t, am)
-				jf := decode[adjustmentJSON](t, af)
+				jm := decode[api.Adjustment](t, am)
+				jf := decode[api.Adjustment](t, af)
 				if !reflect.DeepEqual(jm, jf) {
 					t.Fatalf("save probe %d diverged from rebuild:\nmutated: %+v\nrebuild: %+v", i, jm, jf)
 				}
@@ -284,7 +285,7 @@ func TestSweepSkipsBusySessions(t *testing.T) {
 		go func() {
 			defer reqs.Done()
 			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save",
-				saveRequest{Tuple: tupleAny(outlierTuple())})
+				api.TupleRequest{Tuple: tupleAny(outlierTuple())})
 			codes <- w.Code
 		}()
 	}
@@ -380,7 +381,7 @@ func TestByteBoundEvictionAfterGrowth(t *testing.T) {
 	grewPast := false
 	for i := 0; i < 40 && !grewPast; i++ {
 		w := do(t, s, "POST", "/v1/datasets/"+b.ID+"/tuples",
-			mutateRequest{Tuple: tupleAny(randTuple2D(rng, 2))})
+			api.TupleRequest{Tuple: tupleAny(randTuple2D(rng, 2))})
 		if w.Code != http.StatusCreated {
 			t.Fatalf("insert %d: status %d, body %s", i, w.Code, w.Body.String())
 		}
@@ -431,7 +432,7 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 		t.Fatalf("deleted handle resolved after compaction: status %d", w.Code)
 	}
 	w := do(t, s, "PUT", fmt.Sprintf("/v1/datasets/%s/tuples/%d", info.ID, 30),
-		mutateRequest{Tuple: []any{0.55, 0.55}})
+		api.TupleRequest{Tuple: []any{0.55, 0.55}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("update of surviving handle: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -451,10 +452,10 @@ func TestCompactionAfterDeleteChurn(t *testing.T) {
 		t.Fatalf("fresh rebuild: %v", err)
 	}
 	probes := [][]any{{0.4, 0.4}, {1.9, 1.9}, {25.0, 25.0}, {0.55, 0.55}}
-	dm := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
-		detectRequest{Tuples: probes}))
-	df := decode[detectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
-		detectRequest{Tuples: probes}))
+	dm := decode[api.DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect",
+		api.DetectRequest{Tuples: probes}))
+	df := decode[api.DetectResponse](t, do(t, s, "POST", "/v1/datasets/"+fs.ID+"/detect",
+		api.DetectRequest{Tuples: probes}))
 	if !reflect.DeepEqual(dm.Results, df.Results) {
 		t.Fatalf("post-compaction detect diverged:\ncompacted: %+v\nrebuild:   %+v", dm.Results, df.Results)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/serve/api"
 	"repro/internal/snapshot"
 )
 
@@ -38,7 +39,7 @@ func writeTestCSVFile(t *testing.T, dir string) string {
 
 func openPathSession(t *testing.T, s *Server, path string) SessionInfo {
 	t.Helper()
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Path: path, Eps: 1, Eta: 3, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", api.CreateRequest{Path: path, BuildParams: testParams})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("open path: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -93,11 +94,11 @@ func TestRestartRecoversWarmSessions(t *testing.T) {
 		}
 	}
 	// The recovered session is warm: a save works without any rebuild.
-	w := do(t, s2, "POST", "/v1/datasets/"+up.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w := do(t, s2, "POST", "/v1/datasets/"+up.ID+"/save", api.TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("save on recovered session: status %d, body %s", w.Code, w.Body.String())
 	}
-	if adj := decode[adjustmentJSON](t, w); !adj.Saved {
+	if adj := decode[api.Adjustment](t, w); !adj.Saved {
 		t.Fatalf("outlier not saved on recovered session: %+v", adj)
 	}
 	if got := s2.reg.store.Stats(); got.RecoveredSessions != 2 || got.SnapshotLoads != 2 {
@@ -330,7 +331,7 @@ func uploadSessionSmall(t *testing.T, s *Server) SessionInfo {
 			fmt.Fprintf(&sb, "%g,%g\n", float64(i)*0.4, float64(j)*0.4)
 		}
 	}
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Name: "small", CSV: sb.String(), Eps: 1, Eta: 3, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", api.CreateRequest{Name: "small", CSV: sb.String(), BuildParams: testParams})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("upload: status %d, body %s", w.Code, w.Body.String())
 	}
@@ -345,7 +346,7 @@ func TestDetectMemberMode(t *testing.T) {
 	// A naive count of E's row includes E itself → 3 → spuriously inlier.
 	csv := "x,y\n0,0\n0.5,0\n0,0.5\n0.25,0.25\n1.2,0\n"
 	s := newTestServer(t, Config{BatchWindow: -1})
-	w := do(t, s, "POST", "/v1/datasets", createRequest{Name: "m", CSV: csv, Eps: 1, Eta: 3, Kappa: 2})
+	w := do(t, s, "POST", "/v1/datasets", api.CreateRequest{Name: "m", CSV: csv, BuildParams: testParams})
 	if w.Code != http.StatusCreated {
 		t.Fatalf("upload: %d %s", w.Code, w.Body.String())
 	}
@@ -356,13 +357,13 @@ func TestDetectMemberMode(t *testing.T) {
 	e := []any{1.2, 0.0}
 	// Non-member screening of the member row: the self-match hides the
 	// violation.
-	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{e}})
-	if got := decode[detectResponse](t, w); got.Results[0].Outlier {
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", api.DetectRequest{Tuples: [][]any{e}})
+	if got := decode[api.DetectResponse](t, w); got.Results[0].Outlier {
 		t.Fatalf("non-member screening flagged the row (neighbors=%d); self-match should hide it", got.Results[0].Neighbors)
 	}
 	// Member screening matches the session's own detection split.
-	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{e}, Member: true})
-	got := decode[detectResponse](t, w)
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", api.DetectRequest{Tuples: [][]any{e}, Member: true})
+	got := decode[api.DetectResponse](t, w)
 	if !got.Results[0].Outlier || got.Results[0].Neighbors != 2 {
 		t.Fatalf("member screening = %+v, want outlier with 2 neighbors", got.Results[0])
 	}
@@ -395,11 +396,11 @@ func TestChaosRegistryRestarts(t *testing.T) {
 		// Every listed session must answer detect and save requests even
 		// with dispatch faults active (errors are clean 5xx, not hangs).
 		for _, info := range s.reg.List() {
-			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+			w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", api.TupleRequest{Tuple: []any{25.0, 25.0}})
 			if w.Code != http.StatusOK && w.Code != http.StatusGatewayTimeout {
 				t.Fatalf("round %d: save on %s: unexpected status %d: %s", round, info.ID, w.Code, w.Body.String())
 			}
-			if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", detectRequest{Tuples: [][]any{{25.0, 25.0}}}); w.Code != http.StatusOK {
+			if w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/detect", api.DetectRequest{Tuples: [][]any{{25.0, 25.0}}}); w.Code != http.StatusOK {
 				t.Fatalf("round %d: detect on %s: status %d", round, info.ID, w.Code)
 			}
 		}
@@ -417,7 +418,7 @@ func TestChaosRegistryRestarts(t *testing.T) {
 	// recover or quarantine cleanly, and recovered sessions must serve.
 	s := recoverServer(t, cfg)
 	for _, info := range s.reg.List() {
-		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+		w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", api.TupleRequest{Tuple: []any{25.0, 25.0}})
 		if w.Code != http.StatusOK {
 			t.Fatalf("final: save on %s: status %d: %s", info.ID, w.Code, w.Body.String())
 		}
@@ -438,12 +439,12 @@ func TestChaosBatchDispatchPanic(t *testing.T) {
 	if err := fault.Configure("batch.dispatch:panic", 1); err != nil {
 		t.Fatal(err)
 	}
-	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w := do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", api.TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("save under panic injection: status %d, want 504", w.Code)
 	}
 	fault.Reset()
-	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", saveRequest{Tuple: []any{25.0, 25.0}})
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/save", api.TupleRequest{Tuple: []any{25.0, 25.0}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("save after panic: status %d, want 200 (server must survive)", w.Code)
 	}

@@ -13,8 +13,9 @@
 // repair a budgeted per-request search, both against cached state.
 //
 // serve deliberately consumes the public disc API (plus internal/par for
-// the worker pool and internal/obs for counters) rather than internal/core:
-// it is the first out-of-repo-shaped consumer of the library surface.
+// the worker pool, internal/obs for counters, and internal/serve/api with
+// data's tuple codec for the wire) rather than internal/core: it is the
+// first out-of-repo-shaped consumer of the library surface.
 package serve
 
 import (
@@ -32,33 +33,12 @@ import (
 
 	disc "repro"
 	"repro/internal/obs"
+	"repro/internal/serve/api"
 )
 
-// BuildParams select the dataset and constraints of one session.
-type BuildParams struct {
-	// Eps and Eta are the distance constraints; non-positive values are
-	// determined automatically from the Poisson model (§2.1.2).
-	Eps float64
-	Eta int
-	// Kappa bounds adjusted attributes per save (≤ 0: unrestricted).
-	Kappa int
-	// MaxNodes bounds the search nodes per save (≤ 0: unlimited).
-	MaxNodes int
-	// Seed feeds the parameter-determination sampling.
-	Seed int64
-	// Index names the neighbor index kind ("" or "auto" picks one; see
-	// disc.ParseIndexKind for the wire names).
-	Index string
-	// Approx switches the session's build-time detection to the sampled
-	// estimator with exact borderline refinement (disc.DetectApprox);
-	// ApproxConfidence tunes its certificate confidence (0 picks the
-	// default). Warm /detect requests answer from cached counts either way.
-	Approx           bool
-	ApproxConfidence float64
-}
-
-// key canonicalizes the params for load-by-path deduplication.
-func (p BuildParams) key(path string) string {
+// paramsKey canonicalizes a path and its build params for load-by-path
+// deduplication.
+func paramsKey(path string, p api.BuildParams) string {
 	return fmt.Sprintf("%s|%g|%d|%d|%d|%d|%s|%t|%g", path, p.Eps, p.Eta, p.Kappa, p.MaxNodes, p.Seed, p.Index, p.Approx, p.ApproxConfidence)
 }
 
@@ -76,7 +56,7 @@ type Session struct {
 	// the durable snapshot so a corrupt payload can still be rebuilt from
 	// source under identical settings.
 	Source string
-	Params BuildParams
+	Params api.BuildParams
 	Rel    *disc.Relation
 	Cons   disc.Constraints
 	Kappa  int
@@ -327,7 +307,7 @@ func tupleBytes(t disc.Tuple) int64 {
 // buildSession runs the one-off pipeline: validate, determine parameters if
 // unset, build the full-relation index, detect, and prepare the saver over
 // the inliers. Everything a warm request touches is constructed here.
-func buildSession(ctx context.Context, id, name, key, source string, rel *disc.Relation, p BuildParams, cfg Config, log *slog.Logger) (*Session, error) {
+func buildSession(ctx context.Context, id, name, key, source string, rel *disc.Relation, p api.BuildParams, cfg Config, log *slog.Logger) (*Session, error) {
 	start := time.Now()
 	if rel.N() == 0 {
 		return nil, fmt.Errorf("serve: dataset %q is empty", name)
@@ -540,7 +520,7 @@ func (r *Registry) Sweep(now time.Time) {
 // Upload builds a session from an already-parsed relation and registers it
 // under a fresh id. Uploads are never deduplicated: two identical uploads
 // are two sessions.
-func (r *Registry) Upload(ctx context.Context, name string, rel *disc.Relation, p BuildParams) (*Session, error) {
+func (r *Registry) Upload(ctx context.Context, name string, rel *disc.Relation, p api.BuildParams) (*Session, error) {
 	if testBuildHook != nil {
 		testBuildHook()
 	}
@@ -553,8 +533,8 @@ func (r *Registry) Upload(ctx context.Context, name string, rel *disc.Relation, 
 
 // OpenPath returns the session for (path, params), loading and building it
 // on first use. Concurrent calls for the same key share one build.
-func (r *Registry) OpenPath(ctx context.Context, path string, p BuildParams) (*Session, error) {
-	key := p.key(path)
+func (r *Registry) OpenPath(ctx context.Context, path string, p api.BuildParams) (*Session, error) {
+	key := paramsKey(path, p)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -595,7 +575,7 @@ func (r *Registry) OpenPath(ctx context.Context, path string, p BuildParams) (*S
 // session under the given id. Recovery reuses it to rebuild a session whose
 // snapshot was corrupt, keeping the original id so clients' handles stay
 // valid.
-func (r *Registry) buildFromPath(ctx context.Context, id, path, key string, p BuildParams) (*Session, error) {
+func (r *Registry) buildFromPath(ctx context.Context, id, path, key string, p api.BuildParams) (*Session, error) {
 	if testBuildHook != nil {
 		testBuildHook()
 	}

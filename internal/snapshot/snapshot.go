@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,6 +40,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/metric"
+	"repro/internal/serve/api"
 )
 
 // Version is the current snapshot format version. Readers reject other
@@ -72,26 +72,6 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Params are the requested build parameters of a session, kept verbatim so
-// a rebuild-from-source reproduces the original dedup key (auto-determined
-// constraints re-derive identically under the same seed).
-type Params struct {
-	Eps      float64 `json:"eps"`
-	Eta      int     `json:"eta"`
-	Kappa    int     `json:"kappa"`
-	MaxNodes int     `json:"max_nodes"`
-	Seed     int64   `json:"seed"`
-	// Index names the requested index kind ("" = auto). Added with
-	// mutable sessions; the lenient payload decode keeps snapshots
-	// written before the field readable.
-	Index string `json:"index,omitempty"`
-	// Approx and ApproxConfidence request approximate detection on a
-	// rebuild-from-source (the counts in the payload already reflect it).
-	// Additive like Index: older snapshots decode with both zero.
-	Approx           bool    `json:"approx,omitempty"`
-	ApproxConfidence float64 `json:"approx_confidence,omitempty"`
-}
-
 // Hint is the identity section, readable independently of the payload.
 type Hint struct {
 	ID   string `json:"id"`
@@ -100,7 +80,11 @@ type Hint struct {
 	// SourcePath is the server-side dataset path for path-loaded sessions
 	// ("" for uploads, whose data exists only in the payload).
 	SourcePath string `json:"source_path,omitempty"`
-	Params     Params `json:"params"`
+	// Params are the requested build parameters, kept verbatim so a
+	// rebuild-from-source reproduces the original dedup key
+	// (auto-determined constraints re-derive identically under the same
+	// seed). Fields added later decode as zero from older snapshots.
+	Params api.BuildParams `json:"params"`
 }
 
 // Snapshot is everything a restart needs to rehydrate a session without
@@ -110,7 +94,7 @@ type Snapshot struct {
 	Name       string
 	Key        string
 	SourcePath string
-	Params     Params
+	Params     api.BuildParams
 	// Eps and Eta are the resolved constraints (post parameter
 	// determination), distinct from the requested Params.
 	Eps float64
@@ -197,20 +181,15 @@ func encode(s *Snapshot) (hint, payload []byte, err error) {
 	}
 	p.Tuples = make([][]any, 0, s.Rel.N())
 	for _, t := range s.Rel.Tuples {
-		row := make([]any, len(t))
-		for i, v := range t {
-			if sch.Attrs[i].Kind == data.Text {
-				row[i] = v.Str
-			} else {
-				if math.IsNaN(v.Num) || math.IsInf(v.Num, 0) {
-					return nil, nil, fmt.Errorf("%w: non-finite value in tuple", ErrUnsupported)
-				}
-				row[i] = v.Num
-			}
-		}
-		p.Tuples = append(p.Tuples, row)
+		p.Tuples = append(p.Tuples, data.TupleToJSON(sch, t))
 	}
 	payload, err = json.Marshal(p)
+	var uve *json.UnsupportedValueError
+	if errors.As(err, &uve) {
+		// NaN or ±Inf: JSON cannot carry them, so the session stays
+		// memory-only.
+		return nil, nil, fmt.Errorf("%w: non-finite value in tuple", ErrUnsupported)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: encoding payload: %w", err)
 	}
@@ -368,24 +347,9 @@ func decode(h *Hint, p *payloadJSON) (*Snapshot, error) {
 	}
 	rel := data.NewRelation(sch)
 	for i, row := range p.Tuples {
-		if len(row) != sch.M() {
-			return nil, fmt.Errorf("tuple %d arity %d, want %d", i, len(row), sch.M())
-		}
-		t := make(data.Tuple, len(row))
-		for a, cell := range row {
-			if sch.Attrs[a].Kind == data.Text {
-				sv, ok := cell.(string)
-				if !ok {
-					return nil, fmt.Errorf("tuple %d attribute %q expects text", i, sch.Attrs[a].Name)
-				}
-				t[a] = data.Str(sv)
-				continue
-			}
-			fv, ok := cell.(float64)
-			if !ok {
-				return nil, fmt.Errorf("tuple %d attribute %q expects a number", i, sch.Attrs[a].Name)
-			}
-			t[a] = data.Num(fv)
+		t, err := data.TupleFromJSON(sch, row)
+		if err != nil {
+			return nil, fmt.Errorf("tuple %d: %w", i, err)
 		}
 		rel.Append(t)
 	}

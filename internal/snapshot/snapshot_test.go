@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/metric"
+	"repro/internal/serve/api"
 )
 
 func testSnapshot(t *testing.T) *Snapshot {
@@ -26,7 +28,7 @@ func testSnapshot(t *testing.T) *Snapshot {
 	return &Snapshot{
 		ID: "abc123", Name: "test.csv", Key: "test.csv|1|3|2|0|1",
 		SourcePath: "/data/test.csv",
-		Params:     Params{Eps: 1, Eta: 3, Kappa: 2, Seed: 1},
+		Params:     api.BuildParams{Eps: 1, Eta: 3, Kappa: 2, Seed: 1},
 		Eps:        1, Eta: 3,
 		Rel:    rel,
 		Counts: []int{5, 4, 0},
@@ -171,6 +173,60 @@ func TestUnsupportedCustomMetric(t *testing.T) {
 	err := Write(filepath.Join(t.TempDir(), "s"+Ext), s)
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
+	}
+}
+
+func TestUnsupportedNonFinite(t *testing.T) {
+	s := testSnapshot(t)
+	s.Rel.Tuples[1][0] = data.Num(math.Inf(-1))
+	err := Write(filepath.Join(t.TempDir(), "s"+Ext), s)
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("err = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestGoldenSectionBytes pins the hint and payload bytes of a fixed
+// snapshot, so the on-disk format cannot drift with the wire types it
+// shares (api.BuildParams is the hint's params record, data.TupleToJSON
+// writes the payload rows). The expected strings are what the writer
+// produced before it shared those types, so snapshot files already on disk
+// hold exactly these bytes.
+func TestGoldenSectionBytes(t *testing.T) {
+	sch := &data.Schema{Attrs: []data.Attribute{
+		{Name: "x", Kind: data.Numeric},
+		{Name: "city", Kind: data.Text, Scale: 2, Text: metric.NeedlemanWunsch},
+	}}
+	rel := data.NewRelation(sch)
+	rel.Append(data.Tuple{data.Num(1.5), data.Str("austin")})
+	rel.Append(data.Tuple{data.Num(-2e-7), data.Str(`bo"s<ton>`)})
+	const payload = `{"eps":1.5,"eta":18,"norm":0,"attrs":[{"name":"x","kind":"numeric"},` +
+		`{"name":"city","kind":"text","scale":2,"metric":"needleman-wunsch"}],` +
+		`"tuples":[[1.5,"austin"],[-2e-7,"bo\"s\u003cton\u003e"]],"counts":[18,3],` +
+		`"created_at":"2024-05-06T07:08:09Z"}`
+	for _, tc := range []struct {
+		params api.BuildParams
+		hint   string
+	}{
+		{api.BuildParams{Eps: 1.5, Eta: 18, Kappa: 2, MaxNodes: 2000, Seed: 7, Index: "vp", Approx: true, ApproxConfidence: 0.995},
+			`{"id":"s-1","name":"letter.csv","key":"k|1","source_path":"/data/letter.csv",` +
+				`"params":{"eps":1.5,"eta":18,"kappa":2,"max_nodes":2000,"seed":7,"index":"vp","approx":true,"approx_confidence":0.995}}`},
+		{api.BuildParams{},
+			`{"id":"s-1","name":"letter.csv","key":"k|1","source_path":"/data/letter.csv",` +
+				`"params":{"eps":0,"eta":0,"kappa":0,"max_nodes":0,"seed":0}}`},
+	} {
+		s := &Snapshot{ID: "s-1", Name: "letter.csv", Key: "k|1", SourcePath: "/data/letter.csv",
+			Params: tc.params, Eps: 1.5, Eta: 18, Rel: rel, Counts: []int{18, 3},
+			CreatedAt: time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC)}
+		hint, pl, err := encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(hint) != tc.hint {
+			t.Errorf("hint bytes\n got %s\nwant %s", hint, tc.hint)
+		}
+		if string(pl) != payload {
+			t.Errorf("payload bytes\n got %s\nwant %s", pl, payload)
+		}
 	}
 }
 
