@@ -8,11 +8,11 @@ FUZZTIME ?= 10s
 # overwrites so both snapshots survive in the committed file.
 BENCHOUT ?= BENCH_10.json
 BENCHKEY ?= after
-BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectApprox|BenchmarkDetectExactLattice
+BENCHPAT = BenchmarkSaveSingle$$|BenchmarkDetect$$|BenchmarkCluster|BenchmarkServeSave|BenchmarkGridWithin$$|BenchmarkGridCountWithin$$|BenchmarkGridKNN$$|BenchmarkVPTreeWithin$$|BenchmarkBruteWithin$$|BenchmarkDetectMixed$$|BenchmarkSaveSingleMixed$$|BenchmarkMutateInsert|BenchmarkRedetectTouched|BenchmarkMutateRebuild|BenchmarkDetectExactLattice
 
-.PHONY: check build vet test race cover fuzz bench bench-check perfbench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift profile
+.PHONY: check build vet test race cover fuzz bench bench-check perfbench-check serve-smoke mutate-smoke shard-smoke lattice-smoke chaos drift profile
 
-check: build vet race cover bench-check perfbench-check serve-smoke mutate-smoke shard-smoke approx-smoke chaos drift fuzz
+check: build vet race cover bench-check perfbench-check serve-smoke mutate-smoke shard-smoke lattice-smoke chaos drift fuzz
 
 build:
 	$(GO) build ./...
@@ -60,7 +60,7 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Scripted serving round-trip: build discserve, drive a real listener
-# through upload -> detect -> save -> repair -> induced 429 -> SIGTERM
+# through upload -> detect -> save -> repair -> oversize 413 -> SIGTERM
 # drain (see serve_smoke_test.go).
 serve-smoke:
 	$(GO) test -run TestServeSmoke -count=1 .
@@ -80,12 +80,11 @@ mutate-smoke:
 shard-smoke:
 	$(GO) test -run TestShardSmoke -count=1 .
 
-# Scripted approximate-detection round-trip: build datagen and disccli,
-# stream a 48k jittered-lattice CSV, run detect-and-repair with -approx
-# and assert the emitted counters show the sampled estimator carried the
-# pass (see approx_smoke_test.go).
-approx-smoke:
-	$(GO) test -run TestApproxSmoke -count=1 .
+# Scripted streaming round-trip: build datagen and disccli, stream a 48k
+# jittered-lattice CSV, run detect-and-repair and assert the emitted tuple
+# and outlier counts and index counters (see lattice_smoke_test.go).
+lattice-smoke:
+	$(GO) test -run TestLatticeSmoke -count=1 .
 
 # Docs drift gate: every json counter tag in obs must appear in the
 # docs/OBSERVABILITY.md tables, and every tag the tables document must

@@ -22,14 +22,14 @@ func TestParseBench(t *testing.T) {
 		},
 		{
 			name: "sub-benchmark",
-			line: "BenchmarkDetectApprox/n=64k-2         \t       3\t  56812345 ns/op",
-			want: Bench{Name: "BenchmarkDetectApprox/n=64k", Procs: 2, Iters: 3, NsPerOp: 56812345},
+			line: "BenchmarkDetectExactLattice/n=64k-2         \t       3\t  56812345 ns/op",
+			want: Bench{Name: "BenchmarkDetectExactLattice/n=64k", Procs: 2, Iters: 3, NsPerOp: 56812345},
 		},
 		{
 			name: "custom metric",
-			line: "BenchmarkDetectApprox/n=1M-16 \t 1\t 740000000 ns/op\t 0.00011 band_frac\t 4096 B/op\t 12 allocs/op",
-			want: Bench{Name: "BenchmarkDetectApprox/n=1M", Procs: 16, Iters: 1, NsPerOp: 740000000,
-				BytesPerOp: f(4096), AllocsPerOp: f(12), Metrics: map[string]float64{"band_frac": 0.00011}},
+			line: "BenchmarkDetectExactLattice/n=1M-16 \t 1\t 740000000 ns/op\t 0.00011 outlier_frac\t 4096 B/op\t 12 allocs/op",
+			want: Bench{Name: "BenchmarkDetectExactLattice/n=1M", Procs: 16, Iters: 1, NsPerOp: 740000000,
+				BytesPerOp: f(4096), AllocsPerOp: f(12), Metrics: map[string]float64{"outlier_frac": 0.00011}},
 		},
 		{
 			name: "no suffix",

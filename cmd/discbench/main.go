@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/viz"
@@ -52,8 +51,6 @@ func run() int {
 		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file when the run ends")
 		statsJSON = flag.String("stats-json", "", "write per-experiment DISC search counters as a JSON map to this file (\"-\" = stderr)")
 		trace     = flag.Bool("trace", false, "print a span timeline of the run (one span per experiment) to stderr at the end")
-		approx    = flag.Bool("approx", false, "run every detection pass through the sampled estimator with exact borderline refinement")
-		apConf    = flag.Float64("approx-confidence", 0, "certificate confidence of -approx (0 = default)")
 	)
 	flag.Parse()
 
@@ -124,13 +121,6 @@ func run() int {
 	}
 
 	cfg := exp.Config{SizeScale: *scale, Seed: *seed, Ctx: ctx, Workers: *workers}
-	if *approx {
-		conf := *apConf
-		if conf <= 0 {
-			conf = core.DefaultApproxConfidence
-		}
-		cfg.Approx = core.ApproxOptions{Confidence: conf, Seed: *seed}
-	}
 	if *verb {
 		cfg.Progress = os.Stderr
 	}

@@ -66,8 +66,6 @@ func main() {
 		logLevel     = flag.String("log-level", "", "emit structured pipeline logs to stderr at this level (debug|info|warn|error)")
 		remote       = flag.String("remote", "", "run the pipeline against a discserve instance at this base URL (e.g. http://127.0.0.1:8080); if the server is unreachable the run falls back to local execution")
 		remoteCommit = flag.Bool("remote-commit", false, "with -remote: write the repaired tuples back into the server session (PUT per saved row, keyed by upload row order) and keep the session alive instead of deleting it")
-		approx       = flag.Bool("approx", false, "approximate detection: classify tuples from sampled neighbor-count estimates, refining only the borderline band exactly (identical split, cost grows with the band)")
-		approxConf   = flag.Float64("approx-confidence", 0, "certificate confidence of -approx (0 = default 0.999)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -107,8 +105,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "disccli: request %s %s %s\n", id, method, path)
 			},
 		})
-		p := api.BuildParams{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed,
-			Approx: *approx, ApproxConfidence: *approxConf}
+		p := api.BuildParams{Eps: *eps, Eta: *eta, Kappa: *kappa, MaxNodes: *maxNodes, Seed: *seed}
 		repaired, rerr := runRemote(ctx, cl, filepath.Base(*in), string(raw), rel, p, *timeout, *report, *remoteCommit)
 		switch {
 		case rerr == nil:
@@ -159,13 +156,6 @@ func main() {
 		MaxNodes: *maxNodes,
 		Deadline: *deadline,
 		Workers:  *workers,
-	}
-	if *approx {
-		conf := *approxConf
-		if conf <= 0 {
-			conf = disc.DefaultApproxConfidence
-		}
-		opts.ApproxDetect = disc.ApproxDetectOptions{Confidence: conf, Seed: *seed}
 	}
 	if *progress {
 		opts.Progress = func(p disc.Progress) {

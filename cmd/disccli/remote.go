@@ -16,8 +16,10 @@ import (
 // instance instead of locally: upload the CSV as a session, screen every
 // row against the server's cached index (member mode, so each row's stored
 // copy does not count itself as a neighbor), repair the outliers, and
-// splice the adjusted tuples back into the relation. The session is deleted
-// best-effort afterwards — the CLI is one-shot.
+// splice the adjusted tuples back into the relation. A worker admits a
+// /repair batch all-or-nothing against its queue bound, so the outliers go
+// out one chunk of at most api.DefaultMaxQueue tuples after another. The
+// session is deleted best-effort afterwards — the CLI is one-shot.
 //
 // Failures the client classifies as the server being unreachable surface as
 // client.ErrUnavailable, which the caller treats as "fall back to a local
@@ -66,21 +68,22 @@ func runRemote(ctx context.Context, cl *client.Client, name, csvText string, rel
 		repaired.Append(t)
 	}
 	saved, natural, exhausted := 0, 0, 0
-	if len(outIdx) > 0 {
-		outTuples := make([][]any, len(outIdx))
-		for i, idx := range outIdx {
-			outTuples[i] = tuples[idx]
+	for lo := 0; lo < len(outIdx); lo += api.DefaultMaxQueue {
+		rows := outIdx[lo:min(lo+api.DefaultMaxQueue, len(outIdx))]
+		chunk := make([][]any, len(rows))
+		for i, row := range rows {
+			chunk[i] = tuples[row]
 		}
-		rep, err := cl.Repair(ctx, info.ID, outTuples, int(timeout/time.Millisecond))
+		rep, err := cl.Repair(ctx, info.ID, chunk, int(timeout/time.Millisecond))
 		if err != nil {
 			return nil, err
 		}
-		if len(rep.Adjustments) != len(outIdx) {
-			return nil, fmt.Errorf("disccli: server repaired %d tuples, sent %d", len(rep.Adjustments), len(outIdx))
+		if len(rep.Adjustments) != len(rows) {
+			return nil, fmt.Errorf("disccli: server repaired %d tuples, sent %d", len(rep.Adjustments), len(rows))
 		}
-		saved, natural, exhausted = rep.Saved, rep.Natural, rep.Exhausted
+		saved, natural, exhausted = saved+rep.Saved, natural+rep.Natural, exhausted+rep.Exhausted
 		for i, adj := range rep.Adjustments {
-			row := outIdx[i]
+			row := rows[i]
 			if adj.Saved && adj.Tuple != nil {
 				t, err := data.TupleFromJSON(rel.Schema, adj.Tuple)
 				if err != nil {

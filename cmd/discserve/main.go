@@ -26,7 +26,8 @@
 //
 // Capacity is bounded everywhere: the session cache by count, bytes and
 // idle TTL (LRU eviction), each session's admission queue by -max-queue
-// (overflow answered 429 + Retry-After), and each save by a deadline
+// (overflow answered 429 + Retry-After; a single batch larger than the
+// queue 413), and each save by a deadline
 // (client timeout_ms capped at -request-budget). SIGINT/SIGTERM drain
 // gracefully: admitted work finishes, new work is refused with 503.
 //
@@ -64,6 +65,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/serve"
+	"repro/internal/serve/api"
 	"repro/internal/serve/coord"
 )
 
@@ -73,7 +75,7 @@ func main() {
 		maxSessions   = flag.Int("max-sessions", 8, "max cached dataset sessions (LRU eviction)")
 		maxBytes      = flag.Int64("max-bytes", 0, "max approximate resident bytes across sessions (0 = unbounded)")
 		sessionTTL    = flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = never)")
-		maxQueue      = flag.Int("max-queue", 256, "admission queue slots per session; overflow is answered 429")
+		maxQueue      = flag.Int("max-queue", api.DefaultMaxQueue, "admission queue slots per session; overflow is answered 429, a single batch larger than this 413")
 		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long a dispatch waits for co-arriving saves to coalesce")
 		maxBatch      = flag.Int("max-batch", 64, "max saves per dispatch")
 		workers       = flag.String("workers", "0", "parallel saves per dispatch (0 = GOMAXPROCS); with -coordinator, the comma-separated worker base URLs instead")
@@ -83,7 +85,6 @@ func main() {
 		maxUpload     = flag.Int64("max-upload", 64<<20, "max request body bytes, dataset uploads included")
 		drainTimeout  = flag.Duration("drain-timeout", time.Minute, "max time to finish admitted work on shutdown")
 		dataDir       = flag.String("data-dir", "", "directory for durable session snapshots; on restart sessions are recovered from it instead of rebuilt ('' = memory-only)")
-		approxDefault = flag.Bool("approx", false, "build sessions with approximate detection by default (sampled estimator, exact borderline refinement); per-request \"approx\" still overrides")
 		slowRequest   = flag.Duration("slow-request", time.Second, "log a span breakdown for API requests slower than this (0 = off)")
 		pprofAddr     = flag.String("pprof-addr", "", "separate listen address for net/http/pprof ('' = off); keep it off public interfaces")
 		faultSpec     = flag.String("fault", "", "fault-injection spec, site:mode[:arg][:prob],... (e.g. snapshot.write:sleep:2s); testing only")
@@ -126,7 +127,6 @@ func main() {
 		MaxBodyBytes:  *maxUpload,
 		SlowRequest:   *slowRequest,
 		DataDir:       *dataDir,
-		ApproxDefault: *approxDefault,
 		Logger:        log,
 	})
 

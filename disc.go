@@ -135,51 +135,13 @@ func Detect(rel *Relation, cons Constraints) (*Detection, error) {
 	return core.Detect(rel, cons, nil)
 }
 
-// DetectContext is Detect with cancellation: the counting pass stops
-// promptly once ctx is cancelled and the cancellation is returned as an
-// error.
-func DetectContext(ctx context.Context, rel *Relation, cons Constraints) (*Detection, error) {
-	return core.DetectContext(ctx, rel, cons, nil)
-}
-
-// DetectWithIndex is DetectContext against a caller-supplied index over
-// rel, so a session-caching layer (or any caller running detection more
-// than once) reuses one built index instead of rebuilding it per call.
-// Detection.IndexBuild stays zero on this path.
-func DetectWithIndex(ctx context.Context, rel *Relation, cons Constraints, idx NeighborIndex) (*Detection, error) {
+// DetectContext is Detect with cancellation against an index over rel:
+// the counting pass stops promptly once ctx is cancelled and the
+// cancellation is returned as an error. A nil idx builds one; a supplied
+// idx lets a session-caching layer (or any caller running detection more
+// than once) reuse one built index, and Detection.IndexBuild stays zero.
+func DetectContext(ctx context.Context, rel *Relation, cons Constraints, idx NeighborIndex) (*Detection, error) {
 	return core.DetectContext(ctx, rel, cons, idx)
-}
-
-// ApproxDetectOptions configure the approximate detection path: sampled
-// neighbor-count estimates with exact borderline refinement (confidence,
-// sample size policy, exact fallback floor).
-type ApproxDetectOptions = core.ApproxOptions
-
-// DefaultApproxConfidence is the certificate confidence approximate
-// detection uses when callers enable it without picking one.
-const DefaultApproxConfidence = core.DefaultApproxConfidence
-
-// DetectApprox splits a relation approximately: each tuple's ε-neighbor
-// count is estimated from a probe against a sampled sub-index, clear
-// inliers and outliers are accepted from a two-sided confidence bound (or
-// the grid cube bound), and only the borderline band pays the exact
-// counting machinery. The returned Detection is a drop-in for Detect's —
-// identical split whenever refinement is on — at a cost that grows with
-// the band, not with n. Small relations fall back to the exact pass.
-func DetectApprox(rel *Relation, cons Constraints, ap ApproxDetectOptions) (*Detection, error) {
-	return core.DetectApprox(rel, cons, nil, ap)
-}
-
-// DetectApproxContext is DetectApprox with cancellation.
-func DetectApproxContext(ctx context.Context, rel *Relation, cons Constraints, ap ApproxDetectOptions) (*Detection, error) {
-	return core.DetectApproxContext(ctx, rel, cons, nil, ap)
-}
-
-// DetectApproxWithIndex is DetectApproxContext against a caller-supplied
-// index over rel (the session-caching counterpart of DetectWithIndex); the
-// sampled sub-index is still built internally per call.
-func DetectApproxWithIndex(ctx context.Context, rel *Relation, cons Constraints, idx NeighborIndex, ap ApproxDetectOptions) (*Detection, error) {
-	return core.DetectApproxContext(ctx, rel, cons, idx, ap)
 }
 
 // RehydrateDetection reconstructs a Detection from persisted neighbor

@@ -84,12 +84,17 @@ func (d *Detection) IsOutlier(i int) bool {
 // Elapsed and IndexBuild stay zero — no index traffic happened — which is
 // exactly how callers tell a rehydrated detection from a computed one.
 func RehydrateDetection(counts []int, eta int) *Detection {
+	return splitCounts(counts, eta)
+}
+
+// splitCounts clamps counts to η in place and derives the inlier/outlier
+// split from them: the one split both DetectContext and RehydrateDetection
+// return.
+func splitCounts(counts []int, eta int) *Detection {
 	det := &Detection{Counts: counts, eta: eta}
 	for i, c := range counts {
-		if c > eta {
-			counts[i] = eta
-		}
 		if c >= eta {
+			counts[i] = eta
 			det.Inliers = append(det.Inliers, i)
 		} else {
 			det.Outliers = append(det.Outliers, i)
@@ -119,43 +124,47 @@ func DetectContext(ctx context.Context, rel *data.Relation, cons Constraints, id
 		idx = neighbors.Build(rel, cons.Eps)
 		indexBuild = time.Since(start)
 	}
-	n := rel.N()
-	det := &Detection{Counts: make([]int, n), eta: cons.Eta, IndexBuild: indexBuild}
 	// Each count stops at η (the saturated Counts contract): the split
 	// only needs the side of η, and a dense inlier's ball is far larger
-	// than η. Counting is read-only per tuple, so it fans out across
-	// cores — each worker counts index traffic in its own shard, merged
-	// once the pool joins.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	// than η.
+	counts := make([]int, rel.N())
+	nc, err := countNeighbors(ctx, rel, idx, cons.Eps, nil, cons.Eta, counts)
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, fmt.Errorf("core: detecting outliers: %w", err)
 	}
+	det := splitCounts(counts, cons.Eta)
+	addCounters(&det.Stats, nc)
+	det.Elapsed, det.IndexBuild = elapsed, indexBuild
+	return det, nil
+}
+
+// countNeighbors is the one counting pass: counts[k] becomes the ε-neighbor
+// count of tuple rows[k] (every tuple when rows is nil), the tuple itself
+// excluded and the count capped at limit (≤ 0: uncapped). Counting is
+// read-only per tuple, so it fans out across cores — each worker counts
+// index traffic in its own shard, merged once the pool joins. A cancelled
+// ctx stops the pass and is returned as the error.
+func countNeighbors(ctx context.Context, rel *data.Relation, idx neighbors.Index, eps float64, rows []int, limit int, counts []int) (neighbors.Counters, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(counts))
 	shards := make([]neighbors.Counters, max(workers, 1))
 	views := make([]neighbors.Index, max(workers, 1))
 	for w := range views {
 		views[w] = neighbors.WithContext(ctx, neighbors.Counting(idx, &shards[w]))
 	}
-	errs := par.ForEachWorker(ctx, n, workers, func(w, i int) error {
-		det.Counts[i] = views[w].CountWithin(rel.Tuples[i], cons.Eps, i, cons.Eta)
+	errs := par.ForEachWorker(ctx, len(counts), workers, func(w, k int) error {
+		i := k
+		if rows != nil {
+			i = rows[k]
+		}
+		counts[k] = views[w].CountWithin(rel.Tuples[i], eps, i, limit)
 		return nil
 	})
 	var merged neighbors.Counters
 	for w := range shards {
 		merged.Add(shards[w])
 	}
-	addCounters(&det.Stats, merged)
-	det.Elapsed = time.Since(start)
-	if err := par.FirstErr(errs); err != nil {
-		return nil, fmt.Errorf("core: detecting outliers: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		if det.Counts[i] >= cons.Eta {
-			det.Inliers = append(det.Inliers, i)
-		} else {
-			det.Outliers = append(det.Outliers, i)
-		}
-	}
-	return det, nil
+	return merged, par.FirstErr(errs)
 }
 
 // Adjustment is the result of saving one outlier.

@@ -105,13 +105,7 @@ func SaveAllContext(ctx context.Context, rel *data.Relation, cons Constraints, o
 	// A supplied Options.Index indexes the input relation, so the detection
 	// pass reuses it instead of building its own — the amortization a
 	// session-caching caller (or a CLI running detection twice) relies on.
-	var det *Detection
-	var err error
-	if opts.ApproxDetect.Enabled() {
-		det, err = DetectApproxContext(ctx, rel, cons, opts.Index, opts.ApproxDetect)
-	} else {
-		det, err = DetectContext(ctx, rel, cons, opts.Index)
-	}
+	det, err := DetectContext(ctx, rel, cons, opts.Index)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/data"
 	"repro/internal/neighbors"
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -66,13 +64,7 @@ func NeighborCountsContext(ctx context.Context, rel *data.Relation, eps float64,
 	}
 	sample := stats.SampleIndices(rel.N(), sampleRate, seed)
 	counts := make([]int, len(sample))
-	cidx := neighbors.WithContext(ctx, idx)
-	errs := par.ForEach(ctx, len(sample), runtime.GOMAXPROCS(0), func(k int) error {
-		i := sample[k]
-		counts[k] = cidx.CountWithin(rel.Tuples[i], eps, i, 0)
-		return nil
-	})
-	if err := par.FirstErr(errs); err != nil {
+	if _, err := countNeighbors(ctx, rel, idx, eps, sample, 0, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil

@@ -66,11 +66,6 @@ type Options struct {
 	// skipped outliers (Warn), grid→brute fallbacks (Debug). The hot
 	// search path itself never logs.
 	Logger *slog.Logger
-	// ApproxDetect switches SaveAll's detection pass to the sampled
-	// estimator with exact borderline refinement (see DetectApproxContext)
-	// when ApproxDetect.Enabled() — i.e. Confidence is set. The zero
-	// value keeps detection exact.
-	ApproxDetect ApproxOptions
 }
 
 // Saver saves outliers against a fixed set r of non-outlying tuples.

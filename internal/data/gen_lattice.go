@@ -13,9 +13,9 @@ import (
 // density is uniform (one stratum per cell), so with ε = 1 every interior
 // tuple's expected neighbor count is the unit-ball volume times PerCell —
 // a workload whose inlier/outlier geometry is known in closed form, which
-// the detection benchmarks and the approximate-detection differential
-// tests rely on. Noise appends isolated tuples far outside the lattice
-// (pairwise spacing > 4), each a guaranteed outlier at any small ε.
+// the detection benchmarks and the lattice smoke test rely on. Noise
+// appends isolated tuples far outside the lattice (pairwise spacing > 4),
+// each a guaranteed outlier at any small ε.
 type LatticeSpec struct {
 	// Side is the number of cells per axis (required, ≥ 1).
 	Side int

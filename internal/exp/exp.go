@@ -14,7 +14,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -39,10 +38,6 @@ type Config struct {
 	// Stats, when non-nil, accumulates the merged search counters of
 	// every DISC save the experiment runs (discbench -stats-json).
 	Stats *obs.Collector
-	// Approx, when enabled (Confidence > 0), runs every DISC detection
-	// pass through the sampled estimator with exact borderline refinement
-	// instead of the exact counting pass.
-	Approx core.ApproxOptions
 }
 
 // context returns the run's context, never nil.

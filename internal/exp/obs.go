@@ -15,9 +15,6 @@ func (c Config) discOptions(label string, opts core.Options) core.Options {
 	if opts.Workers == 0 {
 		opts.Workers = c.Workers
 	}
-	if c.Approx.Enabled() && !opts.ApproxDetect.Enabled() {
-		opts.ApproxDetect = c.Approx
-	}
 	if w := c.Progress; w != nil {
 		opts.Progress = func(p obs.Progress) {
 			fmt.Fprintf(w, "%s: saved %d/%d outliers\n", label, p.Done, p.Total)

@@ -36,6 +36,17 @@ type Index interface {
 	Rel() *data.Relation
 }
 
+// CountWithinAtLeast reports whether q has at least k ε-neighbors in idx
+// (excluding skip). Callers that only need the boolean — "count ≥ η" —
+// ride CountWithin's cap early-exit: the scan stops at the k-th hit
+// instead of counting the whole ball. k ≤ 0 is vacuously true.
+func CountWithinAtLeast(idx Index, q data.Tuple, eps float64, skip, k int) bool {
+	if k <= 0 {
+		return true
+	}
+	return idx.CountWithin(q, eps, skip, k) >= k
+}
+
 // WithinAppender is the optional extension of Index for allocation-
 // sensitive callers: WithinAppend appends the ε-neighbors to dst (which
 // may be nil or a reused buffer truncated by the caller) instead of

@@ -291,3 +291,31 @@ func BenchmarkGridKNN(b *testing.B) {
 		g.KNN(r.Tuples[i%r.N()], 8, i%r.N())
 	}
 }
+
+// TestCountWithinAtLeast pins the threshold probe to the exact count's
+// answer across every index kind, including k values right at the
+// boundary where the cap early-exit fires.
+func TestCountWithinAtLeast(t *testing.T) {
+	r := diffRelation(120, 3, metric.L2, 11, true)
+	brute := NewBrute(r)
+	indexes := map[string]Index{
+		"brute":  brute,
+		"grid":   NewGrid(r, 1.5),
+		"vptree": NewVPTree(r, 3),
+		"kdtree": NewKDTree(r),
+	}
+	eps := 6.0
+	for name, idx := range indexes {
+		for i, q := range r.Tuples {
+			exact := brute.CountWithin(q, eps, i, 0)
+			for _, k := range []int{-1, 0, 1, exact - 1, exact, exact + 1, 2*exact + 3} {
+				got := CountWithinAtLeast(idx, q, eps, i, k)
+				want := k <= 0 || exact >= k
+				if got != want {
+					t.Fatalf("%s: tuple %d: CountWithinAtLeast(k=%d) = %v, exact count %d",
+						name, i, k, got, exact)
+				}
+			}
+		}
+	}
+}

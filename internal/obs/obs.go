@@ -82,14 +82,6 @@ type SearchStats struct {
 	DistEarlyExits  int64 `json:"dist_early_exits"`
 	TextCacheHits   int64 `json:"text_cache_hits"`
 	TextCacheMisses int64 `json:"text_cache_misses"`
-	// ApproxSampled and ApproxRefined split the approximate detection
-	// pass's tuples: classified from the sampled estimate (or the grid cube
-	// bound) alone vs sent to the exact borderline refinement.
-	// ApproxSampleEvals is the slice of DistEvals spent on sampled-index
-	// probes — the estimator's own cost, already included in DistEvals.
-	ApproxSampled     int64 `json:"approx_sampled"`
-	ApproxRefined     int64 `json:"approx_exact_refined"`
-	ApproxSampleEvals int64 `json:"approx_sample_dist_evals"`
 }
 
 // Add folds o into s field by field. Shards merged this way must no longer
@@ -112,9 +104,6 @@ func (s *SearchStats) Add(o *SearchStats) {
 	s.DistEarlyExits += o.DistEarlyExits
 	s.TextCacheHits += o.TextCacheHits
 	s.TextCacheMisses += o.TextCacheMisses
-	s.ApproxSampled += o.ApproxSampled
-	s.ApproxRefined += o.ApproxRefined
-	s.ApproxSampleEvals += o.ApproxSampleEvals
 }
 
 // String renders the counters in the order a pruning-power reading wants:
@@ -124,13 +113,11 @@ func (s *SearchStats) String() string {
 		"nodes=%d lb_prunes=%d cand_prunes=%d memo_hits=%d ub_witnesses=%d best_updates=%d "+
 			"kappa_masks=%d kappa_prefiltered=%d budget_trips=%d candidates=%d "+
 			"knn_queries=%d range_queries=%d dist_evals=%d grid_fallbacks=%d "+
-			"dist_early_exits=%d text_cache_hits=%d text_cache_misses=%d "+
-			"approx_sampled=%d approx_exact_refined=%d approx_sample_dist_evals=%d",
+			"dist_early_exits=%d text_cache_hits=%d text_cache_misses=%d",
 		s.Nodes, s.LBPrunes, s.CandPrunes, s.MemoHits, s.UBWitnesses, s.BestUpdates,
 		s.KappaMasks, s.KappaPrefiltered, s.BudgetTrips, s.Candidates,
 		s.KNNQueries, s.RangeQueries, s.DistEvals, s.GridFallbacks,
-		s.DistEarlyExits, s.TextCacheHits, s.TextCacheMisses,
-		s.ApproxSampled, s.ApproxRefined, s.ApproxSampleEvals)
+		s.DistEarlyExits, s.TextCacheHits, s.TextCacheMisses)
 }
 
 // PhaseTimings breaks a SaveAll run into its pipeline phases. Phases not

@@ -8,6 +8,11 @@
 // every layer that speaks the wire can depend on it.
 package api
 
+// DefaultMaxQueue is a worker's default per-session admission queue bound,
+// and so the largest /repair batch a default worker admits: a client with
+// more tuples sends them in chunks of at most this many.
+const DefaultMaxQueue = 256
+
 // BuildParams are the requested build parameters of one session. The JSON
 // tags are also the snapshot hint's "params" record, so changing one
 // changes the snapshot format.
@@ -27,11 +32,6 @@ type BuildParams struct {
 	// "brute", "grid", "kd" or "vp" force one. Added with mutable sessions:
 	// snapshots written before it decode with "".
 	Index string `json:"index,omitempty"`
-	// Approx switches the build-time detection pass to the sampled
-	// estimator with exact borderline refinement; ApproxConfidence tunes
-	// its certificate confidence (0 = default 0.999). Additive like Index.
-	Approx           bool    `json:"approx,omitempty"`
-	ApproxConfidence float64 `json:"approx_confidence,omitempty"`
 }
 
 // CreateRequest is the POST /v1/datasets body: exactly one source (CSV,

@@ -21,6 +21,10 @@ var (
 	// errQueueFull means the bounded admission queue had no room — the
 	// client should back off (429 + Retry-After).
 	errQueueFull = errors.New("serve: admission queue full")
+	// errBatchTooLarge means one request carries more tuples than the
+	// queue holds even when empty — no backoff can admit it, so the
+	// client must split the batch (413, not retryable).
+	errBatchTooLarge = errors.New("serve: batch larger than the admission queue")
 	// errClosed means the session (or server) is draining — requests
 	// already admitted will finish, new ones are refused (503).
 	errClosed = errors.New("serve: draining, not accepting new work")
@@ -103,23 +107,28 @@ func newBatcher(s *Session, cfg Config) *batcher {
 // admit enqueues all of reqs or none of them: partial admission of a batch
 // repair would leave the client with half an answer and the queue with
 // orphaned work. Admission is all-or-nothing under the lock, where the
-// capacity check makes the channel sends non-blocking.
+// capacity check makes the channel sends non-blocking. A batch larger than
+// the whole queue is refused as errBatchTooLarge rather than errQueueFull,
+// because waiting for the queue to drain would never admit it.
 func (b *batcher) admit(reqs ...*saveReq) error {
 	b.admitMu.Lock()
-	if b.closed {
-		b.admitMu.Unlock()
-		for _, r := range reqs {
-			r.es.Rejected.Add(1)
-		}
-		return errClosed
-	}
-	if len(b.queue)+len(reqs) > cap(b.queue) {
-		b.admitMu.Unlock()
-		for _, r := range reqs {
-			r.es.Rejected.Add(1)
-		}
-		return fmt.Errorf("%w (%d queued, capacity %d, %d arriving)",
+	var err error
+	switch {
+	case b.closed:
+		err = errClosed
+	case len(reqs) > cap(b.queue):
+		err = fmt.Errorf("%w (%d tuples, capacity %d): send at most %d per request",
+			errBatchTooLarge, len(reqs), cap(b.queue), cap(b.queue))
+	case len(b.queue)+len(reqs) > cap(b.queue):
+		err = fmt.Errorf("%w (%d queued, capacity %d, %d arriving)",
 			errQueueFull, len(b.queue), cap(b.queue), len(reqs))
+	}
+	if err != nil {
+		b.admitMu.Unlock()
+		for _, r := range reqs {
+			r.es.Rejected.Add(1)
+		}
+		return err
 	}
 	b.pending.Add(int64(len(reqs)))
 	for _, r := range reqs {

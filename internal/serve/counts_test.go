@@ -49,7 +49,7 @@ func checkSplitAgainstRebuild(t *testing.T, s *Session) {
 	}
 	in, out := s.inliers, s.outliers
 	s.stateMu.RUnlock()
-	det, err := disc.DetectWithIndex(context.Background(), live, s.Cons, nil)
+	det, err := disc.DetectContext(context.Background(), live, s.Cons, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +64,22 @@ func checkSplitAgainstRebuild(t *testing.T, s *Session) {
 	}
 }
 
-// TestApproxSessionDeletesMatchRebuild is the regression test for
-// approximate detection under mutation: an approx grid session stores the
-// saturated count contract (clear inliers η, clear outliers their exact
-// count), so the ±1 delete arithmetic keeps the split exact. Before the
-// contract, sampled estimates took the ±1 arithmetic and this session
-// reported 761 inliers / 2944 outliers against an exact 1742 / 1963.
+// TestApproxSessionDeletesMatchRebuild checks the saturated count
+// contract under mutation on a grid session: detection stores
+// min(|D_ε|, η), and the ±1 delete arithmetic on those counts keeps the
+// split equal to an exact rebuild.
 func TestApproxSessionDeletesMatchRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := NewRegistry(Config{BatchWindow: -1}.withDefaults())
 	defer r.Close()
-	s, err := r.Upload(context.Background(), "approx", uniformRelation(rng, 4000),
-		api.BuildParams{Eps: 0.03, Eta: 11, Kappa: 2, Index: "grid", Approx: true, Seed: 1})
+	s, err := r.Upload(context.Background(), "grid", uniformRelation(rng, 4000),
+		api.BuildParams{Eps: 0.03, Eta: 11, Kappa: 2, Index: "grid", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.stats.ApproxSampled == 0 {
-		t.Fatal("the session's detection certified nothing from its sample; the approx path did not run")
-	}
 	for _, c := range s.Det.Counts {
 		if c > s.Cons.Eta {
-			t.Fatalf("approx detection stored count %d above η=%d", c, s.Cons.Eta)
+			t.Fatalf("detection stored count %d above η=%d", c, s.Cons.Eta)
 		}
 	}
 	deleteRandomRows(t, s, rng, 295)

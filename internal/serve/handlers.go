@@ -29,8 +29,9 @@ type Config struct {
 	MaxBytes    int64
 	// TTL evicts sessions idle longer than this (0 = never).
 	TTL time.Duration
-	// MaxQueue bounds each session's admission queue (default 256);
-	// overflow is answered 429 + Retry-After.
+	// MaxQueue bounds each session's admission queue (default
+	// api.DefaultMaxQueue); overflow is answered 429 + Retry-After, and a
+	// single batch larger than the whole queue 413.
 	MaxQueue int
 	// BatchWindow is how long the dispatcher holds an open batch for
 	// co-arriving requests (default 2ms; 0 coalesces only what is already
@@ -55,11 +56,6 @@ type Config struct {
 	// Server.Recover) instead of rebuilding from scratch. Empty keeps the
 	// registry memory-only.
 	DataDir string
-	// ApproxDefault makes every session build use approximate detection
-	// (sampled estimator + exact borderline refinement) even when the
-	// request did not ask for it; per-request params still tune the
-	// confidence.
-	ApproxDefault bool
 	// Logger receives structured request and lifecycle logs (nil = silent).
 	Logger *slog.Logger
 }
@@ -69,7 +65,7 @@ func (c Config) withDefaults() Config {
 		c.MaxSessions = 8
 	}
 	if c.MaxQueue <= 0 {
-		c.MaxQueue = 256
+		c.MaxQueue = api.DefaultMaxQueue
 	}
 	if c.BatchWindow < 0 {
 		c.BatchWindow = 0
@@ -215,6 +211,7 @@ func (s *Server) logFinalStats() {
 // --- handlers ---
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	tr := obs.TraceFrom(r.Context())
 	s.endpoints["datasets"].Requests.Add(1)
 	if s.refuseDraining(w, r) {
 		return
@@ -234,8 +231,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			p.Kappa, _ = strconv.Atoi(k)
 		}
 		p.Index = q.Get("index")
-		p.Approx = q.Get("approx") == "1" || q.Get("approx") == "true"
-		p.ApproxConfidence, _ = strconv.ParseFloat(q.Get("approx_confidence"), 64)
+		parse := time.Now()
 		rel, rerr := disc.ReadCSV(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if rerr != nil {
 			var mbe *http.MaxBytesError
@@ -247,6 +243,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, r, http.StatusBadRequest, rerr)
 			return
 		}
+		tr.Span("parse", parse)
 		name := q.Get("name")
 		if name == "" {
 			name = "upload.csv"
@@ -294,11 +291,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 			sess, err = s.reg.Upload(r.Context(), name, ds.Rel, p)
 		default:
+			parse := time.Now()
 			rel, rerr := disc.ReadCSV(strings.NewReader(req.CSV))
 			if rerr != nil {
 				s.writeErr(w, r, http.StatusBadRequest, rerr)
 				return
 			}
+			tr.Span("parse", parse)
 			name := req.Name
 			if name == "" {
 				name = "upload.csv"
@@ -453,7 +452,8 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRepair batches many tuples through the same admission path;
-// admission is all-or-nothing so a 429 never splits a batch.
+// admission is all-or-nothing so a 429 never splits a batch, and a batch
+// larger than the queue is a 413.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	hStart := time.Now()
 	tr := obs.TraceFrom(r.Context())
@@ -763,9 +763,12 @@ func (s *Server) refuseDraining(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // writeAdmitErr maps admission failures: queue overflow → 429 with a
-// Retry-After hinting one batch window, drain → 503.
+// Retry-After hinting one batch window, a batch the queue can never hold →
+// 413, drain → 503.
 func (s *Server) writeAdmitErr(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case errors.Is(err, errBatchTooLarge):
+		s.writeErr(w, r, http.StatusRequestEntityTooLarge, err)
 	case errors.Is(err, errQueueFull):
 		retry := int(math.Ceil(math.Max(s.cfg.BatchWindow.Seconds(), 1)))
 		w.Header().Set("Retry-After", strconv.Itoa(retry))

@@ -135,10 +135,6 @@ func (s *Server) writeMetrics(p *obs.PromWriter) {
 			float64(infos[i].Bytes), labels(i)...)
 	}
 	for i := range infos {
-		p.Gauge("disc_session_approx_band_frac", "Borderline-band fraction of the session's approximate detection (exact refinements / approx-classified tuples).",
-			infos[i].ApproxBandFrac, labels(i)...)
-	}
-	for i := range infos {
 		p.Histogram("disc_session_save_seconds", "Per-save wall time, per session.",
 			infos[i].Hists.Save, nsScale, labels(i)...)
 	}

@@ -149,6 +149,38 @@ func TestSlowRequestEmitsSpans(t *testing.T) {
 	if !strings.Contains(out, "request_id=") {
 		t.Errorf("slow-request line has no request id:\n%s", out)
 	}
+
+	// The upload's own line breaks the session build into its phases; ε
+	// and η were given, so no parameter determination ran.
+	upload := slowLine(t, out, "path=/v1/datasets ")
+	for _, span := range []string{"parse=", "validate=", "detect_index=", "detect=", "saver_index=", "saver_setup="} {
+		if !strings.Contains(upload, span) {
+			t.Errorf("upload breakdown missing %q:\n%s", span, upload)
+		}
+	}
+	if strings.Contains(upload, "params=") {
+		t.Errorf("upload with ε and η set recorded a params span:\n%s", upload)
+	}
+	buf.Reset()
+	if w := do(t, s, "POST", "/v1/datasets", api.CreateRequest{Name: "auto", CSV: testCSV(t),
+		BuildParams: api.BuildParams{Kappa: 2}}); w.Code != http.StatusCreated {
+		t.Fatalf("auto-params upload: status %d, body %s", w.Code, w.Body.String())
+	}
+	if auto := slowLine(t, buf.String(), "path=/v1/datasets "); !strings.Contains(auto, "params=") {
+		t.Errorf("upload with automatic ε, η has no params span:\n%s", auto)
+	}
+}
+
+// slowLine returns the slow-request log line containing marker.
+func slowLine(t *testing.T, log, marker string) string {
+	t.Helper()
+	for _, line := range strings.Split(log, "\n") {
+		if strings.Contains(line, "slow request") && strings.Contains(line, marker) {
+			return line
+		}
+	}
+	t.Fatalf("no slow-request line for %q:\n%s", marker, log)
+	return ""
 }
 
 // TestSlowRequestDisabledByDefault: without SlowRequest no per-request

@@ -248,7 +248,7 @@ func FuzzMutate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference index: %v", err)
 		}
-		det, err := disc.DetectWithIndex(context.Background(), liveRel, s.Cons, idx)
+		det, err := disc.DetectContext(context.Background(), liveRel, s.Cons, idx)
 		if err != nil {
 			t.Fatalf("reference detect: %v", err)
 		}

@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +108,74 @@ func TestRestartRecoversWarmSessions(t *testing.T) {
 	}
 	if got := s2.reg.store.Stats(); got.RecoveredSessions != 2 || got.SnapshotLoads != 2 {
 		t.Errorf("store stats = %+v, want 2 loads and 2 recovered", got)
+	}
+}
+
+// TestRecoverSnapshotWithRemovedParams: a snapshot whose hint still
+// carries the build parameters of the removed sampled detector
+// ("approx":true,"approx_confidence":0.995, and the dedup key they were
+// part of) recovers like any other — the hint decodes leniently, the
+// stored counts restore the same split, and the recovered path session
+// deduplicates against a new request with the remaining params.
+func TestRecoverSnapshotWithRemovedParams(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{DataDir: dataDir, BatchWindow: -1, Workers: 2}
+	csvPath := writeTestCSVFile(t, t.TempDir())
+	s1 := recoverServer(t, cfg)
+	info := openPathSession(t, s1, csvPath)
+	orig, _ := s1.reg.Get(info.ID)
+	wantCounts := append([]int(nil), orig.Det.Counts...)
+	wantIn := append([]int(nil), orig.Det.Inliers...)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	// Splice the two fields into the hint's params and its key, then
+	// re-frame the file (header: magic | version u32 | hintLen u32 |
+	// hintCRC u32 | payloadLen u64 | payloadCRC u32).
+	path := filepath.Join(dataDir, info.ID+snapshot.Ext)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 8 + 4 + 4 + 4 + 8 + 4
+	hintLen := int(binary.LittleEndian.Uint32(b[12:]))
+	payload := b[hdr+hintLen:]
+	var hint map[string]any
+	if err := json.Unmarshal(b[hdr:hdr+hintLen], &hint); err != nil {
+		t.Fatal(err)
+	}
+	hint["key"] = hint["key"].(string) + "|true|0.995"
+	params := hint["params"].(map[string]any)
+	params["approx"], params["approx_confidence"] = true, 0.995
+	newHint, err := json.Marshal(hint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(newHint, []byte(`"approx":true,"approx_confidence":0.995`)) {
+		t.Fatalf("hint lacks the removed params: %s", newHint)
+	}
+	out := append([]byte(nil), b[:hdr]...)
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(newHint)))
+	binary.LittleEndian.PutUint32(out[16:], crc32.Checksum(newHint, crc32.MakeTable(crc32.Castagnoli)))
+	out = append(append(out, newHint...), payload...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := recoverServer(t, cfg)
+	got, ok := s2.reg.Get(info.ID)
+	if !ok || !got.Recovered {
+		t.Fatalf("session %s not recovered from a hint with removed params", info.ID)
+	}
+	if !slices.Equal(got.Det.Counts, wantCounts) || !slices.Equal(got.Det.Inliers, wantIn) {
+		t.Errorf("recovered split/counts differ: inliers %v counts %v, want %v %v",
+			got.Det.Inliers, got.Det.Counts, wantIn, wantCounts)
+	}
+	if again := openPathSession(t, s2, csvPath); again.ID != info.ID {
+		t.Errorf("reopening the path built session %s, want the recovered %s", again.ID, info.ID)
 	}
 }
 
@@ -292,6 +365,9 @@ func TestJSONHardening(t *testing.T) {
 	}{
 		{"malformed", `{"csv": `, http.StatusBadRequest},
 		{"unknown field", `{"csv": "x\n1", "kapa": 3}`, http.StatusBadRequest},
+		// The sampled detector's switches are gone, not silently ignored.
+		{"removed approx field", `{"csv": "x\n1", "approx": true}`, http.StatusBadRequest},
+		{"removed approx_confidence field", `{"csv": "x\n1", "approx_confidence": 0.99}`, http.StatusBadRequest},
 		{"trailing garbage", `{"csv": "x\n1"} extra`, http.StatusBadRequest},
 		{"wrong type", `{"csv": 42}`, http.StatusBadRequest},
 		{"oversize", `{"csv": "` + strings.Repeat("a", 2048) + `"}`, http.StatusRequestEntityTooLarge},

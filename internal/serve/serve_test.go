@@ -231,6 +231,24 @@ func TestQueueOverflow429(t *testing.T) {
 		t.Errorf("queue length after refused batch = %d, want 2 (all-or-nothing)", got)
 	}
 
+	// A batch larger than the whole queue would never be admitted, however
+	// long the client backs off: 413 without Retry-After, naming the
+	// capacity, and nothing admitted.
+	three := api.RepairRequest{Tuples: [][]any{{25.0, 25.0}, {25.0, 24.0}, {24.0, 25.0}}}
+	w = do(t, s, "POST", "/v1/datasets/"+info.ID+"/repair", three)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize batch status = %d, want 413; body %s", w.Code, w.Body.String())
+	}
+	if ra := w.Result().Header.Get("Retry-After"); ra != "" {
+		t.Errorf("oversize batch carries Retry-After %q; it is not retryable", ra)
+	}
+	if !strings.Contains(w.Body.String(), "capacity 2") {
+		t.Errorf("oversize batch answer does not name the capacity: %s", w.Body.String())
+	}
+	if got := len(nb.queue); got != 2 {
+		t.Errorf("queue length after oversize batch = %d, want 2", got)
+	}
+
 	// Start the dispatcher and drain; the queued fill requests get answers.
 	go nb.run()
 	nb.close()

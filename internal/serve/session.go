@@ -39,7 +39,18 @@ import (
 // paramsKey canonicalizes a path and its build params for load-by-path
 // deduplication.
 func paramsKey(path string, p api.BuildParams) string {
-	return fmt.Sprintf("%s|%g|%d|%d|%d|%d|%s|%t|%g", path, p.Eps, p.Eta, p.Kappa, p.MaxNodes, p.Seed, p.Index, p.Approx, p.ApproxConfidence)
+	return fmt.Sprintf("%s|%g|%d|%d|%d|%d|%s", path, p.Eps, p.Eta, p.Kappa, p.MaxNodes, p.Seed, p.Index)
+}
+
+// recoveredKey re-derives a snapshotted session's dedup key from its
+// source path and params instead of trusting the stored key, so a session
+// persisted under an older key format still deduplicates against new
+// requests. Uploads have no source path and no key.
+func recoveredKey(source string, p api.BuildParams) string {
+	if source == "" {
+		return ""
+	}
+	return paramsKey(source, p)
 }
 
 // Session is one cached dataset: the relation, its detection split, the
@@ -197,39 +208,34 @@ func (s *Session) addStats(st *obs.SearchStats, saves, detects int64) {
 
 // SessionInfo is the JSON view of a session.
 type SessionInfo struct {
-	ID          string  `json:"id"`
-	Name        string  `json:"name"`
-	Tuples      int     `json:"tuples"`
-	Attrs       int     `json:"attrs"`
-	Eps         float64 `json:"eps"`
-	Eta         int     `json:"eta"`
-	Kappa       int     `json:"kappa"`
-	Inliers     int     `json:"inliers"`
-	Outliers    int     `json:"outliers"`
-	Bytes       int64   `json:"bytes"`
-	IndexBuilds int64   `json:"index_builds"`
-	Saves       int64   `json:"saves"`
-	Detects     int64   `json:"detects"`
-	Batches     int64   `json:"batches"`
-	QueueDepth  int     `json:"queue_depth"`
-	Recovered   bool    `json:"recovered"`
-	Index       string  `json:"index"`
-	Inserted    int64   `json:"tuples_inserted"`
-	Updated     int64   `json:"tuples_updated"`
-	Deleted     int64   `json:"tuples_deleted"`
-	Redetect    int64   `json:"redetect_touched"`
-	DeltaMerges int64   `json:"delta_merges"`
-	Compactions int64   `json:"compactions"`
-	// ApproxBandFrac is the borderline-band fraction of the approximate
-	// detection passes served so far: exact refinements over all
-	// approx-classified tuples (0 when the session never ran approximate
-	// detection). The speed win is roughly 1 − band fraction.
-	ApproxBandFrac float64                `json:"approx_band_frac"`
-	CreatedAt      time.Time              `json:"created_at"`
-	LastUsedAt     time.Time              `json:"last_used_at"`
-	Stats          obs.SearchStats        `json:"stats"`
-	Timings        obs.PhaseTimings       `json:"timings"`
-	Hists          obs.ServeHistsSnapshot `json:"hists"`
+	ID          string                 `json:"id"`
+	Name        string                 `json:"name"`
+	Tuples      int                    `json:"tuples"`
+	Attrs       int                    `json:"attrs"`
+	Eps         float64                `json:"eps"`
+	Eta         int                    `json:"eta"`
+	Kappa       int                    `json:"kappa"`
+	Inliers     int                    `json:"inliers"`
+	Outliers    int                    `json:"outliers"`
+	Bytes       int64                  `json:"bytes"`
+	IndexBuilds int64                  `json:"index_builds"`
+	Saves       int64                  `json:"saves"`
+	Detects     int64                  `json:"detects"`
+	Batches     int64                  `json:"batches"`
+	QueueDepth  int                    `json:"queue_depth"`
+	Recovered   bool                   `json:"recovered"`
+	Index       string                 `json:"index"`
+	Inserted    int64                  `json:"tuples_inserted"`
+	Updated     int64                  `json:"tuples_updated"`
+	Deleted     int64                  `json:"tuples_deleted"`
+	Redetect    int64                  `json:"redetect_touched"`
+	DeltaMerges int64                  `json:"delta_merges"`
+	Compactions int64                  `json:"compactions"`
+	CreatedAt   time.Time              `json:"created_at"`
+	LastUsedAt  time.Time              `json:"last_used_at"`
+	Stats       obs.SearchStats        `json:"stats"`
+	Timings     obs.PhaseTimings       `json:"timings"`
+	Hists       obs.ServeHistsSnapshot `json:"hists"`
 }
 
 // Info snapshots the session.
@@ -238,10 +244,6 @@ func (s *Session) Info() SessionInfo {
 	defer s.stateMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bandFrac := 0.0
-	if tot := s.stats.ApproxSampled + s.stats.ApproxRefined; tot > 0 {
-		bandFrac = float64(s.stats.ApproxRefined) / float64(tot)
-	}
 	return SessionInfo{
 		ID: s.ID, Name: s.Name,
 		Tuples: s.relMut.Live(), Attrs: s.Rel.Schema.M(),
@@ -255,11 +257,10 @@ func (s *Session) Info() SessionInfo {
 		Recovered:  s.Recovered,
 		Index:      s.relMut.Kind().String(),
 		Inserted:   s.mstats.inserted, Updated: s.mstats.updated, Deleted: s.mstats.deleted,
-		Redetect:       s.mstats.redetectTouched,
-		DeltaMerges:    s.relMut.Merges() + s.Saver.Mutable().Merges(),
-		Compactions:    s.mstats.compactions,
-		ApproxBandFrac: bandFrac,
-		CreatedAt:      s.Created, LastUsedAt: s.lastUsed,
+		Redetect:    s.mstats.redetectTouched,
+		DeltaMerges: s.relMut.Merges() + s.Saver.Mutable().Merges(),
+		Compactions: s.mstats.compactions,
+		CreatedAt:   s.Created, LastUsedAt: s.lastUsed,
 		Stats: s.stats, Timings: s.Timings,
 		Hists: s.hists.Snapshot(),
 	}
@@ -306,8 +307,11 @@ func tupleBytes(t disc.Tuple) int64 {
 
 // buildSession runs the one-off pipeline: validate, determine parameters if
 // unset, build the full-relation index, detect, and prepare the saver over
-// the inliers. Everything a warm request touches is constructed here.
+// the inliers. Everything a warm request touches is constructed here. Each
+// phase is a span on the request's trace (none when ctx carries no trace),
+// so a slow upload's log line shows where the build went.
 func buildSession(ctx context.Context, id, name, key, source string, rel *disc.Relation, p api.BuildParams, cfg Config, log *slog.Logger) (*Session, error) {
+	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	if rel.N() == 0 {
 		return nil, fmt.Errorf("serve: dataset %q is empty", name)
@@ -316,9 +320,11 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 		return nil, err
 	}
 	validate := time.Since(start)
+	tr.Span("validate", start)
 
 	cons := disc.Constraints{Eps: p.Eps, Eta: p.Eta}
 	if cons.Eps <= 0 || cons.Eta < 1 {
+		t0 := time.Now()
 		choice, err := disc.DetermineParamsContext(ctx, rel, disc.ParamOptions{Seed: p.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("serve: determining (ε, η) for %q: %w", name, err)
@@ -329,6 +335,7 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 		if cons.Eta < 1 {
 			cons.Eta = choice.Eta
 		}
+		tr.Span("params", t0)
 	}
 
 	kind, err := disc.ParseIndexKind(p.Index)
@@ -341,16 +348,13 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 		return nil, fmt.Errorf("serve: indexing %q: %w", name, err)
 	}
 	detIdxBuild := time.Since(t0)
-	var det *disc.Detection
-	if p.Approx || cfg.ApproxDefault {
-		det, err = disc.DetectApproxWithIndex(ctx, rel, cons, relMut,
-			disc.ApproxDetectOptions{Confidence: p.ApproxConfidence, Seed: p.Seed})
-	} else {
-		det, err = disc.DetectWithIndex(ctx, rel, cons, relMut)
-	}
+	tr.Span("detect_index", t0)
+	t0 = time.Now()
+	det, err := disc.DetectContext(ctx, rel, cons, relMut)
 	if err != nil {
 		return nil, fmt.Errorf("serve: detecting over %q: %w", name, err)
 	}
+	tr.Span("detect", t0)
 	if len(det.Inliers) == 0 {
 		return nil, fmt.Errorf("serve: every tuple of %q violates (ε=%g, η=%d); nothing to save against", name, cons.Eps, cons.Eta)
 	}
@@ -360,6 +364,8 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 		return nil, fmt.Errorf("serve: indexing inliers of %q: %w", name, err)
 	}
 	saverIdxBuild := time.Since(t0)
+	tr.Span("saver_index", t0)
+	t0 = time.Now()
 	saver, err := disc.NewSaverContext(ctx, saverMut.Rel(), cons, disc.Options{
 		Kappa:    p.Kappa,
 		MaxNodes: p.MaxNodes,
@@ -369,6 +375,7 @@ func buildSession(ctx context.Context, id, name, key, source string, rel *disc.R
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing saver for %q: %w", name, err)
 	}
+	tr.Span("saver_setup", t0)
 	// The saver's own build time covers the attribute-group indexes of a
 	// κ-restricted session (saverMut was supplied, so nothing else).
 	setupStats, groupBuild, etaRadius := saver.SetupStats()
@@ -584,6 +591,7 @@ func (r *Registry) buildFromPath(ctx context.Context, id, path, key string, p ap
 		return nil, fmt.Errorf("serve: opening dataset: %w", err)
 	}
 	defer f.Close()
+	parse := time.Now()
 	var rel *disc.Relation
 	if strings.EqualFold(filepath.Ext(path), ".json") {
 		ds, err := disc.ReadDatasetJSON(f)
@@ -603,6 +611,7 @@ func (r *Registry) buildFromPath(ctx context.Context, id, path, key string, p ap
 			return nil, fmt.Errorf("serve: reading %s: %w", path, err)
 		}
 	}
+	obs.TraceFrom(ctx).Span("parse", parse)
 	return buildSession(ctx, id, path, key, path, rel, p, r.cfg, r.log)
 }
 

@@ -201,7 +201,7 @@ func (r *Registry) rebuildFromHint(ctx context.Context, hint *snapshot.Hint) {
 		}
 		return
 	}
-	s, err := r.buildFromPath(ctx, hint.ID, hint.SourcePath, hint.Key, hint.Params)
+	s, err := r.buildFromPath(ctx, hint.ID, hint.SourcePath, recoveredKey(hint.SourcePath, hint.Params), hint.Params)
 	if err != nil {
 		r.log.Warn("serve: rebuilding session from source", "id", hint.ID,
 			"path", hint.SourcePath, "err", err)
@@ -260,7 +260,7 @@ func (r *Registry) rehydrate(ctx context.Context, snap *snapshot.Snapshot) (*Ses
 	setupStats, groupBuild, etaRadius := saver.SetupStats()
 	saverIdxBuild += groupBuild
 	s := &Session{
-		ID: snap.ID, Name: snap.Name, Key: snap.Key,
+		ID: snap.ID, Name: snap.Name, Key: recoveredKey(snap.SourcePath, snap.Params),
 		Source: snap.SourcePath, Params: snap.Params,
 		Rel: snap.Rel, Cons: cons, Kappa: snap.Params.Kappa,
 		Det: det, RelIdx: relMut, relMut: relMut, Saver: saver,

@@ -188,9 +188,10 @@ func TestUnsupportedNonFinite(t *testing.T) {
 // TestGoldenSectionBytes pins the hint and payload bytes of a fixed
 // snapshot, so the on-disk format cannot drift with the wire types it
 // shares (api.BuildParams is the hint's params record, data.TupleToJSON
-// writes the payload rows). The expected strings are what the writer
-// produced before it shared those types, so snapshot files already on disk
-// hold exactly these bytes.
+// writes the payload rows). Snapshot files already on disk hold these
+// bytes; older hints whose params also carry "approx" and
+// "approx_confidence" still recover (serve's
+// TestRecoverSnapshotWithRemovedParams).
 func TestGoldenSectionBytes(t *testing.T) {
 	sch := &data.Schema{Attrs: []data.Attribute{
 		{Name: "x", Kind: data.Numeric},
@@ -207,9 +208,9 @@ func TestGoldenSectionBytes(t *testing.T) {
 		params api.BuildParams
 		hint   string
 	}{
-		{api.BuildParams{Eps: 1.5, Eta: 18, Kappa: 2, MaxNodes: 2000, Seed: 7, Index: "vp", Approx: true, ApproxConfidence: 0.995},
+		{api.BuildParams{Eps: 1.5, Eta: 18, Kappa: 2, MaxNodes: 2000, Seed: 7, Index: "vp"},
 			`{"id":"s-1","name":"letter.csv","key":"k|1","source_path":"/data/letter.csv",` +
-				`"params":{"eps":1.5,"eta":18,"kappa":2,"max_nodes":2000,"seed":7,"index":"vp","approx":true,"approx_confidence":0.995}}`},
+				`"params":{"eps":1.5,"eta":18,"kappa":2,"max_nodes":2000,"seed":7,"index":"vp"}}`},
 		{api.BuildParams{},
 			`{"id":"s-1","name":"letter.csv","key":"k|1","source_path":"/data/letter.csv",` +
 				`"params":{"eps":0,"eta":0,"kappa":0,"max_nodes":0,"seed":0}}`},

@@ -19,8 +19,9 @@ import (
 )
 
 // TestServeSmoke drives a real discserve process through the whole session
-// lifecycle: upload a dataset, detect, save, batch-repair, overflow the
-// admission queue into a 429, read /varz, scrape /metrics, and drain on
+// lifecycle: upload a dataset, detect, save, batch-repair, send a batch
+// larger than the admission queue (413), a burst of saves that may meet
+// 429 backpressure, read /varz, scrape /metrics, and drain on
 // SIGTERM — the scripted round-trip `make serve-smoke` runs in CI. With
 // -slow-request set to 1ns every API request is "slow", so the drain tail
 // also asserts the span-breakdown log line fired.
@@ -189,16 +190,17 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("repair saved = %d, want 2: %s", rep.Saved, body)
 	}
 
-	// Overflow: a 3-tuple repair cannot fit the 2-slot queue, and admission
-	// is all-or-nothing, so this 429 is deterministic.
+	// Oversize: a 3-tuple repair can never fit the 2-slot queue, and
+	// admission is all-or-nothing, so it is a deterministic 413 — not a
+	// 429 whose Retry-After would invite a retry that cannot succeed.
 	resp, body = postJSON(sessPath+"/repair", map[string]any{
 		"tuples": [][]float64{{30, 30}, {31, 31}, {32, 32}},
 	})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("oversized repair: status %d, want 429; body %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized repair: status %d, want 413; body %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 missing Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("413 carries Retry-After %q", ra)
 	}
 
 	// A concurrent burst of single saves: each must resolve to either a

@@ -95,9 +95,9 @@ func TestObservabilityDocsDrift(t *testing.T) {
 		known[tag] = true
 	}
 	known["index"] = true
-	// Histogram fields and float gauges (SessionInfo's approx_band_frac)
-	// are not int64 counters, so CounterNames skips them; their json tags
-	// are documented in the tables all the same.
+	// Histogram fields and non-int64 info fields are not counters, so
+	// CounterNames skips them; their json tags are documented in the
+	// tables all the same.
 	for _, v := range []any{obs.ServeHistsSnapshot{}, obs.EndpointSnapshot{}, obs.StoreSnapshot{}, serve.SessionInfo{}} {
 		rt := reflect.TypeOf(v)
 		for i := 0; i < rt.NumField(); i++ {
